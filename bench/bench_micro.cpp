@@ -13,7 +13,6 @@
 #include "uds/server.hpp"
 #include "util/philox.hpp"
 #include "util/rng.hpp"
-#include "util/simd_philox.hpp"
 #include "vwtp/vwtp.hpp"
 
 namespace {
@@ -213,19 +212,15 @@ void BM_BusDelivery(benchmark::State& state) {
 }
 BENCHMARK(BM_BusDelivery);
 
-// 4-wide Philox blocks/sec: arg 0 = dispatched kernel (the pipelined
-// scalar body by default; DPR_PHILOX_AVX2=1 selects the AVX2 body),
-// arg 1 = forced portable scalar body, arg 2 = the one-lane scalar
-// reference it must match. One iteration = one 4-lane block (arg 2 runs
-// the reference four times for comparability).
+// 4-lane Philox blocks/sec: arg 0 = util::philox2x64x4, arg 1 = the
+// one-lane reference it must match, run four times for comparability.
+// One iteration = one 4-lane block.
 void BM_SimdPhiloxBlock(benchmark::State& state) {
-  const util::Philox4Fn fn = state.range(0) == 0 ? util::philox4()
-                                                 : util::philox2x64x4_scalar;
   const std::uint64_t key = 0x9E3779B97F4A7C15ULL;
   std::uint64_t c0[4] = {0, 1, 2, 3};
   const std::uint64_t c1[4] = {7, 7, 7, 7};
   std::uint64_t out[4];
-  if (state.range(0) == 2) {
+  if (state.range(0) == 1) {
     for (auto _ : state) {
       for (int lane = 0; lane < 4; ++lane) {
         out[lane] = util::philox2x64(key, c0[lane], c1[lane]);
@@ -235,14 +230,14 @@ void BM_SimdPhiloxBlock(benchmark::State& state) {
     }
   } else {
     for (auto _ : state) {
-      fn(key, c0, c1, out);
+      util::philox2x64x4(key, c0, c1, out);
       benchmark::DoNotOptimize(out);
       c0[0] += 4;
     }
   }
   state.SetItemsProcessed(state.iterations() * 4);
 }
-BENCHMARK(BM_SimdPhiloxBlock)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SimdPhiloxBlock)->Arg(0)->Arg(1);
 
 // Per-DLC wire-time table lookup vs the pre-overhaul per-frame double
 // math it replaced (arg 0 = table via CanBus::frame_time, arg 1 = the

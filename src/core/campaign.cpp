@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "core/checkpoint.hpp"
@@ -420,11 +421,11 @@ void Campaign::maybe_stall(const char* phase) const {
   }
 }
 
-std::uint64_t Campaign::checkpoint_options_digest(bool legacy) const {
-  return options_digest(legacy);
+std::uint64_t Campaign::checkpoint_options_digest() const {
+  return options_digest();
 }
 
-std::uint64_t Campaign::options_digest(bool legacy) const {
+std::uint64_t Campaign::options_digest() const {
   using util::fnv1a64_f64;
   using util::fnv1a64_str;
   using util::fnv1a64_u64;
@@ -448,7 +449,9 @@ std::uint64_t Campaign::options_digest(bool legacy) const {
   h = fnv1a64_f64(options_.camera_clock_drift_ppm, h);
   h = fnv1a64_u64(static_cast<std::uint64_t>(options_.sniffer_clock_offset),
                   h);
-  h = fnv1a64_u64(options_.cache_analysis ? 1 : 0, h);
+  // A since-removed boolean option sat here; folding its old default
+  // keeps digests (and with them checkpoint filenames) unchanged.
+  h = fnv1a64_u64(1, h);
   const auto& gp = options_.gp;
   h = fnv1a64_u64(gp.population, h);
   h = fnv1a64_u64(gp.max_generations, h);
@@ -474,14 +477,12 @@ std::uint64_t Campaign::options_digest(bool legacy) const {
   h = fnv1a64_u64(static_cast<std::uint64_t>(faults.reset_boot_time), h);
   h = fnv1a64_u64(faults.session_faults ? 1 : 0, h);
   h = fnv1a64_u64(static_cast<std::uint64_t>(faults.s3_timeout), h);
-  if (legacy) return h;  // the v2/v3-era formula stopped here (pre-NM)
   h = fnv1a64_u64(faults.nm ? 1 : 0, h);
   h = fnv1a64_u64(static_cast<std::uint64_t>(faults.nm_sleep_timeout), h);
   h = fnv1a64_u64(options_.nm_oblivious ? 1 : 0, h);
   // Knobs added after the digest formula froze fold in only when armed:
   // default-config digests (and therefore checkpoint filenames) stay
-  // bit-identical across builds, which is what keeps cross-build resume —
-  // the whole point of the migration tier — reachable.
+  // bit-identical across builds, so cross-build resume keeps working.
   if (faults.nm_veto_address != 0) {
     h = fnv1a64_u64(0x4E4D5645544FULL, h);  // "NMVETO" marker
     h = fnv1a64_u64(faults.nm_veto_address, h);
@@ -489,14 +490,19 @@ std::uint64_t Campaign::options_digest(bool legacy) const {
   return h;
 }
 
-void Campaign::run() {
-  using PhaseFn = void (Campaign::*)();
-  static constexpr PhaseFn kPhaseFns[kNumPhases] = {
-      &Campaign::phase_collect,     &Campaign::phase_assemble,
-      &Campaign::phase_ocr_extract, &Campaign::phase_align,
-      &Campaign::phase_associate,   &Campaign::phase_infer,
-      &Campaign::phase_score};
+void Campaign::run_phase(std::size_t phase) {
+  switch (phase) {
+    case 0: return phase_collect();
+    case 1: return phase_assemble();
+    case 2: return phase_ocr_extract();
+    case 3: return phase_align();
+    case 4: return phase_associate();
+    case 5: return phase_infer();
+    case 6: return phase_score();
+  }
+}
 
+void Campaign::run() {
   std::optional<CheckpointStore> store;
   const std::uint64_t digest = options_digest();
   const std::uint64_t car = report_.spec_digest;
@@ -504,20 +510,10 @@ void Campaign::run() {
   if (!options_.checkpoint_dir.empty()) {
     store.emplace(options_.checkpoint_dir);
     if (options_.resume) {
-      // Old builds derived different keys: pre-NM digests (v3 era) and
-      // u32 CarId keys (v2 era). Hand both to the store so their files
-      // are found, validated and migrated to v5 under the current key.
-      CheckpointStore::LegacyKey legacy;
-      legacy.options_digest = options_digest(/*legacy=*/true);
-      if (vehicle_->spec().gen_seed == 0) {
-        legacy.catalog_car =
-            static_cast<std::uint32_t>(vehicle_->spec().id);
-      }
-      auto loaded = store->load(car, options_.seed, digest, &legacy);
+      auto loaded = store->load(car, options_.seed, digest);
       if (loaded) {
-        if (restore_state(loaded->payload, loaded->payload_schema)) {
+        if (restore_state(loaded->payload)) {
           first = loaded->phase + 1;
-          if (loaded->migrated) ++report_.ckpt_salvaged;
         } else {
           // Structurally valid container, unrestorable payload: move the
           // file out of the way and re-run from scratch — the phases it
@@ -545,7 +541,7 @@ void Campaign::run() {
     watchdog_.arm(phase_name(p), options_.phase_deadline_s,
                   options_.phase_sim_budget_s, &clock_);
     maybe_stall(phase_name(p));
-    (this->*kPhaseFns[p])();
+    run_phase(p);
     watchdog_.poll();  // a phase that returned past its budget still fails
     watchdog_.disarm();
     DPR_CRASH_POINT("campaign.phase_done");
@@ -591,8 +587,7 @@ void Campaign::phase_assemble() {
 void Campaign::phase_ocr_extract() {
   // --- Screenshot analysis + field extraction -----------------------------
   // Both the alignment fallback and the signal/ECR analyses consume the
-  // extracted fields and the traffic<->UI associations; compute each once
-  // (unless the legacy recompute path is requested for ablation).
+  // extracted fields and the traffic<->UI associations; compute each once.
   PhaseTimer timer(report_.phases.ocr_extract_s);
   if (options_.obd_alignment && obd_phase_end_ > 0) {
     mid_.obd_samples = screenshot::extract_samples(obd_video_, *ocr_);
@@ -637,13 +632,8 @@ void Campaign::phase_align() {
     // NTP-only vehicles (§9.4 method 1): estimate the end-to-end
     // request->display latency from value changes in the diagnostic
     // traffic itself, then treat it as the pairing offset.
-    const auto series =
-        options_.cache_analysis
-            ? build_alignment_series(mid_.associations)
-            : build_alignment_series(build_associations(
-                  frames::extract_fields(mid_.messages), mid_.samples));
-    if (const auto estimate =
-            correlate::estimate_offset_by_changes(series)) {
+    if (const auto estimate = correlate::estimate_offset_by_changes(
+            build_alignment_series(mid_.associations))) {
       report_.alignment_offset = estimate->offset;
       report_.alignment_anchors = estimate->matched;
     }
@@ -652,16 +642,9 @@ void Campaign::phase_align() {
 
 void Campaign::phase_associate() {
   PhaseTimer timer(report_.phases.associate_s);
-  if (options_.cache_analysis) {
-    analyze_signals(std::move(mid_.associations));
-    mid_.associations.clear();
-    analyze_ecrs(mid_.extraction);
-  } else {
-    analyze_signals(
-        build_associations(frames::extract_fields(mid_.messages),
-                           mid_.samples));
-    analyze_ecrs(frames::extract_fields(mid_.messages));
-  }
+  analyze_signals(std::move(mid_.associations));
+  mid_.associations.clear();
+  analyze_ecrs(mid_.extraction);
 }
 
 void Campaign::phase_infer() {
@@ -974,189 +957,174 @@ void Campaign::score_findings() {
 // --- Checkpoint serialization ----------------------------------------------
 // The payload is the full union of everything a later phase could need:
 // the raw capture, both videos, the session windows, the OCR engine's RNG
-// position, the intermediate phase products and the report so far. Doubles
-// travel as raw bit patterns, so a resumed run is bit-identical to an
-// uninterrupted one (the resilience tests compare report signatures).
+// position, the intermediate phase products and the report so far.
+//
+// Each payload type lists its fields once, in wire order, in a fields()
+// overload; a Save archive runs that list to write and a Load archive runs
+// the same list to read, so the two directions cannot drift apart. A
+// field's wire width follows its C++ type: int and SimTime travel as i64,
+// size_t as u64, vectors and strings as a u64 count plus elements, and
+// doubles as raw bit patterns, so a resumed run is bit-identical to an
+// uninterrupted one (the resilience and golden tests compare report
+// signatures).
 
 namespace {
 
-void write_rect(util::BinaryWriter& w, const diagtool::Rect& rect) {
-  w.i64(rect.x);
-  w.i64(rect.y);
-  w.i64(rect.w);
-  w.i64(rect.h);
+template <class Ar>
+void fields(Ar& ar, diagtool::Rect& v) {
+  ar(v.x, v.y, v.w, v.h);
 }
-
-diagtool::Rect read_rect(util::BinaryReader& r) {
-  diagtool::Rect rect;
-  rect.x = static_cast<int>(r.i64());
-  rect.y = static_cast<int>(r.i64());
-  rect.w = static_cast<int>(r.i64());
-  rect.h = static_cast<int>(r.i64());
-  return rect;
+template <class Ar>
+void fields(Ar& ar, cps::TextRegion& v) {
+  ar(v.truth, v.bounds, v.font_px, v.row, v.clickable);
 }
-
-void write_video(util::BinaryWriter& w, const cps::VideoRecording& video) {
-  w.u64(video.frames.size());
-  for (const auto& frame : video.frames) {
-    w.i64(frame.timestamp);
-    w.i64(frame.width);
-    w.i64(frame.height);
-    w.u64(frame.text_regions.size());
-    for (const auto& region : frame.text_regions) {
-      w.str(region.truth);
-      write_rect(w, region.bounds);
-      w.i64(region.font_px);
-      w.i64(region.row);
-      w.b(region.clickable);
+template <class Ar>
+void fields(Ar& ar, cps::IconRegion& v) {
+  ar(v.bounds, v.icon_identity);
+}
+template <class Ar>
+void fields(Ar& ar, cps::Screenshot& v) {
+  ar(v.timestamp, v.width, v.height, v.text_regions, v.icon_regions);
+}
+template <class Ar>
+void fields(Ar& ar, cps::VideoRecording& v) {
+  ar(v.frames);
+}
+template <class Ar>
+void fields(Ar& ar, cps::OcrStats& v) {
+  ar(v.strings_read, v.strings_correct, v.char_errors, v.decimal_drops);
+}
+template <class Ar>
+void fields(Ar& ar, util::Rng::State& v) {
+  ar(v.s[0], v.s[1], v.s[2], v.s[3], v.cached_normal, v.has_cached_normal);
+}
+template <class Ar>
+void fields(Ar& ar, can::TimestampedFrame& v) {
+  // The data travels as a u8 length and one u8 per byte.
+  std::uint32_t id = v.frame.id().value;
+  bool extended = v.frame.id().extended;
+  const auto data = v.frame.data();
+  std::uint8_t dlc = static_cast<std::uint8_t>(data.size());
+  std::uint8_t bytes[8] = {};
+  std::copy(data.begin(), data.end(), bytes);
+  ar(v.timestamp, id, extended, dlc);
+  if (dlc > 8) throw std::runtime_error("checkpoint: bad frame dlc");
+  for (std::uint8_t i = 0; i < dlc; ++i) ar(bytes[i]);
+  if constexpr (Ar::kLoading) {
+    v.frame = can::CanFrame(can::CanId{id, extended},
+                            std::span<const std::uint8_t>(bytes, dlc));
+  }
+}
+template <class Ar>
+void fields(Ar& ar, frames::DiagMessage& v) {
+  ar(v.timestamp, v.can_id, v.payload);
+}
+template <class Ar>
+void fields(Ar& ar, screenshot::UiSample& v) {
+  ar(v.timestamp, v.row, v.name, v.value_text, v.value);
+}
+template <class Ar>
+void fields(Ar& ar, frames::EsvObservation& v) {
+  ar(v.timestamp, v.is_kwp, v.did, v.data, v.local_id, v.esv_index,
+     v.formula_type, v.x0, v.x1);
+}
+template <class Ar>
+void fields(Ar& ar, frames::EcrObservation& v) {
+  ar(v.timestamp, v.is_uds, v.id, v.io_param, v.control_state);
+}
+template <class Ar>
+void fields(Ar& ar, frames::ExtractionResult& v) {
+  ar(v.esvs, v.ecrs, v.unmatched_responses);
+}
+template <class Ar>
+void fields(Ar& ar, correlate::XSample& v) {
+  ar(v.timestamp, v.xs);
+}
+template <class Ar>
+void fields(Ar& ar, correlate::YSample& v) {
+  ar(v.timestamp, v.y);
+}
+template <class Ar>
+void fields(Ar& ar, correlate::DataPoint& v) {
+  ar(v.xs, v.y, v.x_time, v.y_time);
+}
+template <class Ar>
+void fields(Ar& ar, correlate::Dataset& v) {
+  ar(v.n_vars, v.points);
+}
+template <class Ar>
+void fields(Ar& ar, gp::SeriesScale& v) {
+  ar(v.factor);
+}
+template <class Ar>
+void fields(Ar& ar, gp::GpResult& v) {
+  auto& t = v.timings;
+  ar(v.best, v.n_vars, v.fitness, v.generations_run, v.converged,
+     v.x_scales, v.y_scale, v.formula, t.scoring_s, t.tuning_s,
+     t.breeding_s, t.total_s, t.evaluations, t.cache_hits, t.cache_misses);
+  if constexpr (Ar::kLoading) {
+    // A restored expression will be evaluated against n_vars operands;
+    // reject stray variable references here (hard error) instead of
+    // letting a bad tree surface later as an evaluation throw.
+    std::vector<const gp::Node*> stack{v.best.root()};
+    while (!stack.empty()) {
+      const gp::Node* node = stack.back();
+      stack.pop_back();
+      if (node->op == gp::Op::kVar &&
+          (node->var < 0 ||
+           static_cast<std::uint64_t>(node->var) >= v.n_vars)) {
+        throw std::runtime_error("checkpoint: variable index out of range");
+      }
+      if (node->lhs) stack.push_back(node->lhs.get());
+      if (node->rhs) stack.push_back(node->rhs.get());
     }
-    w.u64(frame.icon_regions.size());
-    for (const auto& region : frame.icon_regions) {
-      write_rect(w, region.bounds);
-      w.str(region.icon_identity);
-    }
   }
 }
-
-cps::VideoRecording read_video(util::BinaryReader& r) {
-  cps::VideoRecording video;
-  const std::uint64_t n_frames = r.u64();
-  for (std::uint64_t i = 0; i < n_frames; ++i) {
-    cps::Screenshot frame;
-    frame.timestamp = r.i64();
-    frame.width = static_cast<int>(r.i64());
-    frame.height = static_cast<int>(r.i64());
-    const std::uint64_t n_text = r.u64();
-    for (std::uint64_t j = 0; j < n_text; ++j) {
-      cps::TextRegion region;
-      region.truth = r.str();
-      region.bounds = read_rect(r);
-      region.font_px = static_cast<int>(r.i64());
-      region.row = static_cast<int>(r.i64());
-      region.clickable = r.b();
-      frame.text_regions.push_back(std::move(region));
-    }
-    const std::uint64_t n_icons = r.u64();
-    for (std::uint64_t j = 0; j < n_icons; ++j) {
-      cps::IconRegion region;
-      region.bounds = read_rect(r);
-      region.icon_identity = r.str();
-      frame.icon_regions.push_back(std::move(region));
-    }
-    video.frames.push_back(std::move(frame));
-  }
-  return video;
+template <class Ar>
+void fields(Ar& ar, regress::FitResult& v) {
+  ar(v.coefficients, v.n_vars, v.polynomial, v.mae, v.formula);
 }
-
-void write_samples(util::BinaryWriter& w,
-                   const std::vector<screenshot::UiSample>& samples) {
-  w.u64(samples.size());
-  for (const auto& sample : samples) {
-    w.i64(sample.timestamp);
-    w.i64(sample.row);
-    w.str(sample.name);
-    w.str(sample.value_text);
-    w.b(sample.value.has_value());
-    if (sample.value) w.f64(*sample.value);
-  }
+template <class Ar>
+void fields(Ar& ar, SignalFinding& v) {
+  ar(v.is_kwp, v.did, v.local_id, v.esv_index, v.semantic_name,
+     v.request_message, v.is_enum, v.dataset, v.gp, v.linear, v.polynomial,
+     v.truth_formula, v.truth_is_enum, v.gp_correct, v.linear_correct,
+     v.polynomial_correct);
 }
-
-std::vector<screenshot::UiSample> read_samples(util::BinaryReader& r) {
-  std::vector<screenshot::UiSample> samples;
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    screenshot::UiSample sample;
-    sample.timestamp = r.i64();
-    sample.row = static_cast<int>(r.i64());
-    sample.name = r.str();
-    sample.value_text = r.str();
-    if (r.b()) sample.value = r.f64();
-    samples.push_back(std::move(sample));
-  }
-  return samples;
+template <class Ar>
+void fields(Ar& ar, EcrFinding& v) {
+  ar(v.is_uds, v.id, v.semantic_name, v.param_sequence, v.adjustment_state,
+     v.three_message_pattern, v.matches_truth);
 }
-
-void write_extraction(util::BinaryWriter& w,
-                      const frames::ExtractionResult& extraction) {
-  w.u64(extraction.esvs.size());
-  for (const auto& esv : extraction.esvs) {
-    w.i64(esv.timestamp);
-    w.b(esv.is_kwp);
-    w.u16(esv.did);
-    w.bytes(esv.data);
-    w.u8(esv.local_id);
-    w.u64(esv.esv_index);
-    w.u8(esv.formula_type);
-    w.u8(esv.x0);
-    w.u8(esv.x1);
-  }
-  w.u64(extraction.ecrs.size());
-  for (const auto& ecr : extraction.ecrs) {
-    w.i64(ecr.timestamp);
-    w.b(ecr.is_uds);
-    w.u16(ecr.id);
-    w.u8(ecr.io_param);
-    w.bytes(ecr.control_state);
-  }
-  w.u64(extraction.unmatched_responses);
+template <class Ar>
+void fields(Ar& ar, TransactionFailure& v) {
+  ar(v.is_kwp, v.id, v.failures);
 }
-
-frames::ExtractionResult read_extraction(util::BinaryReader& r) {
-  frames::ExtractionResult extraction;
-  const std::uint64_t n_esvs = r.u64();
-  for (std::uint64_t i = 0; i < n_esvs; ++i) {
-    frames::EsvObservation esv;
-    esv.timestamp = r.i64();
-    esv.is_kwp = r.b();
-    esv.did = r.u16();
-    esv.data = r.bytes();
-    esv.local_id = r.u8();
-    esv.esv_index = r.u64();
-    esv.formula_type = r.u8();
-    esv.x0 = r.u8();
-    esv.x1 = r.u8();
-    extraction.esvs.push_back(std::move(esv));
-  }
-  const std::uint64_t n_ecrs = r.u64();
-  for (std::uint64_t i = 0; i < n_ecrs; ++i) {
-    frames::EcrObservation ecr;
-    ecr.timestamp = r.i64();
-    ecr.is_uds = r.b();
-    ecr.id = r.u16();
-    ecr.io_param = r.u8();
-    ecr.control_state = r.bytes();
-    extraction.ecrs.push_back(std::move(ecr));
-  }
-  extraction.unmatched_responses = r.u64();
-  return extraction;
-}
-
-void write_dataset(util::BinaryWriter& w, const correlate::Dataset& dataset) {
-  w.u64(dataset.n_vars);
-  w.u64(dataset.points.size());
-  for (const auto& point : dataset.points) {
-    w.u64(point.xs.size());
-    for (const double x : point.xs) w.f64(x);
-    w.f64(point.y);
-    w.i64(point.x_time);
-    w.i64(point.y_time);
-  }
-}
-
-correlate::Dataset read_dataset(util::BinaryReader& r) {
-  correlate::Dataset dataset;
-  dataset.n_vars = r.u64();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    correlate::DataPoint point;
-    const std::uint64_t n_xs = r.u64();
-    for (std::uint64_t j = 0; j < n_xs; ++j) point.xs.push_back(r.f64());
-    point.y = r.f64();
-    point.x_time = r.i64();
-    point.y_time = r.i64();
-    dataset.points.push_back(std::move(point));
-  }
-  return dataset;
+template <class Ar>
+void fields(Ar& ar, CampaignReport& v) {
+  auto& c = v.census;
+  auto& p = v.phases;
+  auto& tx = v.transactions;
+  auto& bus = v.bus_faults;
+  auto& ss = v.session_stats;
+  auto& nm = v.nm;
+  ar(v.spec_digest, v.car_label, c.single_frames, c.first_frames,
+     c.consecutive_frames, c.flow_control_frames, c.vwtp_data_last,
+     c.vwtp_data_more, c.vwtp_control, c.other, v.messages_assembled,
+     v.alignment_offset, v.alignment_anchors, v.signals, v.ecrs,
+     v.ocr_stats);
+  ar(p.collect_s, p.assemble_s, p.ocr_extract_s, p.align_s, p.associate_s,
+     p.infer_s, p.score_s);
+  ar(tx.transactions, tx.retries, tx.busy_retries, tx.pending_waits,
+     tx.failures, v.failed_transactions);
+  ar(bus.delivered, bus.dropped, bus.corrupted, bus.duplicated, bus.jittered,
+     bus.bursts);
+  ar(ss.keepalives, ss.sessions_lost, ss.sessions_restored,
+     ss.reissued_requests, ss.recovery_failures, ss.bus_sleeps,
+     ss.sleep_recoveries, v.ecu_resets, v.ecu_s3_expiries);
+  ar(v.nm_enabled, nm.sleeps, nm.wakeups, nm.frames_lost_to_sleep,
+     nm.limp_episodes, nm.ring_repairs, nm.nm_frames_sent, v.completed,
+     v.failure_reason);
 }
 
 void write_expr_node(util::BinaryWriter& w, const gp::Node* node) {
@@ -1184,83 +1152,84 @@ std::unique_ptr<gp::Node> read_expr_node(util::BinaryReader& r, int depth) {
   return node;
 }
 
-void write_gp_result(util::BinaryWriter& w, const gp::GpResult& result) {
-  write_expr_node(w, result.best.root());
-  w.u64(result.n_vars);
-  w.f64(result.fitness);
-  w.u64(result.generations_run);
-  w.b(result.converged);
-  w.u64(result.x_scales.size());
-  for (const auto& scale : result.x_scales) w.f64(scale.factor);
-  w.f64(result.y_scale.factor);
-  w.str(result.formula);
-  w.f64(result.timings.scoring_s);
-  w.f64(result.timings.tuning_s);
-  w.f64(result.timings.breeding_s);
-  w.f64(result.timings.total_s);
-  w.u64(result.timings.evaluations);
-  w.u64(result.timings.cache_hits);
-  w.u64(result.timings.cache_misses);
-}
+/// Writes fields in order. It never modifies what it is given; fields()
+/// takes non-const references only so one list serves both directions.
+struct Save {
+  static constexpr bool kLoading = false;
+  util::BinaryWriter& w;
 
-gp::GpResult read_gp_result(util::BinaryReader& r) {
-  gp::GpResult result;
-  result.best = gp::Expr(read_expr_node(r, 0));
-  result.n_vars = r.u64();
-  result.fitness = r.f64();
-  result.generations_run = r.u64();
-  result.converged = r.b();
-  const std::uint64_t n_scales = r.u64();
-  for (std::uint64_t i = 0; i < n_scales; ++i) {
-    result.x_scales.push_back(gp::SeriesScale{r.f64()});
+  void operator()(const bool& v) { w.b(v); }
+  void operator()(const std::uint8_t& v) { w.u8(v); }
+  void operator()(const std::uint16_t& v) { w.u16(v); }
+  void operator()(const std::uint32_t& v) { w.u32(v); }
+  void operator()(const std::uint64_t& v) { w.u64(v); }
+  void operator()(const std::int64_t& v) { w.i64(v); }
+  void operator()(const int& v) { w.i64(v); }
+  void operator()(const double& v) { w.f64(v); }
+  void operator()(const std::string& v) { w.str(v); }
+  void operator()(const util::Bytes& v) { w.bytes(v); }
+  void operator()(const gp::Expr& v) { write_expr_node(w, v.root()); }
+  template <class T>
+  void operator()(const std::optional<T>& v) {
+    w.b(v.has_value());
+    if (v) (*this)(*v);
   }
-  result.y_scale.factor = r.f64();
-  result.formula = r.str();
-  result.timings.scoring_s = r.f64();
-  result.timings.tuning_s = r.f64();
-  result.timings.breeding_s = r.f64();
-  result.timings.total_s = r.f64();
-  result.timings.evaluations = r.u64();
-  result.timings.cache_hits = r.u64();
-  result.timings.cache_misses = r.u64();
-
-  // A restored expression will be evaluated against n_vars operands;
-  // reject stray variable references here (hard error) instead of letting
-  // a bad tree surface later as an evaluation throw.
-  std::vector<const gp::Node*> stack{result.best.root()};
-  while (!stack.empty()) {
-    const gp::Node* node = stack.back();
-    stack.pop_back();
-    if (node->op == gp::Op::kVar &&
-        (node->var < 0 ||
-         static_cast<std::uint64_t>(node->var) >= result.n_vars)) {
-      throw std::runtime_error("checkpoint: variable index out of range");
-    }
-    if (node->lhs) stack.push_back(node->lhs.get());
-    if (node->rhs) stack.push_back(node->rhs.get());
+  template <class T>
+  void operator()(const std::vector<T>& v) {
+    w.u64(v.size());
+    for (const T& element : v) (*this)(element);
   }
-  return result;
-}
+  template <class T>
+  void operator()(const T& v) {
+    fields(*this, const_cast<T&>(v));
+  }
+  template <class... Ts>
+    requires(sizeof...(Ts) > 1)
+  void operator()(const Ts&... vs) {
+    ((*this)(vs), ...);
+  }
+};
 
-void write_fit(util::BinaryWriter& w, const regress::FitResult& fit) {
-  w.u64(fit.coefficients.size());
-  for (const double c : fit.coefficients) w.f64(c);
-  w.u64(fit.n_vars);
-  w.b(fit.polynomial);
-  w.f64(fit.mae);
-  w.str(fit.formula);
-}
+/// Reads fields in order, overwriting what it is given. Throws (via
+/// BinaryReader) on a truncated payload.
+struct Load {
+  static constexpr bool kLoading = true;
+  util::BinaryReader& r;
 
-regress::FitResult read_fit(util::BinaryReader& r) {
-  regress::FitResult fit;
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) fit.coefficients.push_back(r.f64());
-  fit.n_vars = r.u64();
-  fit.polynomial = r.b();
-  fit.mae = r.f64();
-  fit.formula = r.str();
-  return fit;
-}
+  void operator()(bool& v) { v = r.b(); }
+  void operator()(std::uint8_t& v) { v = r.u8(); }
+  void operator()(std::uint16_t& v) { v = r.u16(); }
+  void operator()(std::uint32_t& v) { v = r.u32(); }
+  void operator()(std::uint64_t& v) { v = r.u64(); }
+  void operator()(std::int64_t& v) { v = r.i64(); }
+  void operator()(int& v) { v = static_cast<int>(r.i64()); }
+  void operator()(double& v) { v = r.f64(); }
+  void operator()(std::string& v) { v = r.str(); }
+  void operator()(util::Bytes& v) { v = r.bytes(); }
+  void operator()(gp::Expr& v) { v = gp::Expr(read_expr_node(r, 0)); }
+  template <class T>
+  void operator()(std::optional<T>& v) {
+    v.reset();
+    if (r.b()) (*this)(v.emplace());
+  }
+  template <class T>
+  void operator()(std::vector<T>& v) {
+    // Grow one element at a time: a corrupt count runs the reader dry
+    // (and throws) instead of allocating it up front.
+    v.clear();
+    const std::uint64_t n = r.u64();
+    for (std::uint64_t i = 0; i < n; ++i) (*this)(v.emplace_back());
+  }
+  template <class T>
+  void operator()(T& v) {
+    fields(*this, v);
+  }
+  template <class... Ts>
+    requires(sizeof...(Ts) > 1)
+  void operator()(Ts&... vs) {
+    ((*this)(vs), ...);
+  }
+};
 
 }  // namespace
 
@@ -1269,407 +1238,47 @@ util::Bytes Campaign::serialize_state() const {
 }
 
 util::Bytes Campaign::serialize_state_versioned(std::uint32_t schema) const {
+  if (schema != kCheckpointPayloadSchema) {
+    throw std::invalid_argument("checkpoint payload schema " +
+                                std::to_string(schema) + " is not supported");
+  }
   util::BinaryWriter w;
-
-  // Collection products: raw capture, videos, per-ECU session windows.
-  const auto& cap = capture();
-  w.u64(cap.size());
-  for (const auto& tf : cap) {
-    w.i64(tf.timestamp);
-    w.u32(tf.frame.id().value);
-    w.b(tf.frame.id().extended);
-    const auto data = tf.frame.data();
-    w.u8(static_cast<std::uint8_t>(data.size()));
-    for (const std::uint8_t byte : data) w.u8(byte);
-  }
-  write_video(w, video_);
-  write_video(w, obd_video_);
-  w.i64(obd_phase_end_);
-  w.u64(sessions_.size());
-  for (const auto& session : sessions_) {
-    w.u64(session.ecu_index);
-    w.i64(session.live_begin);
-    w.i64(session.live_end);
-    w.u64(session.actuator_names.size());
-    for (const auto& name : session.actuator_names) w.str(name);
-    w.i64(session.active_begin);
-    w.i64(session.active_end);
-  }
-  w.b(collected_);
-
-  // OCR engine replay state (the ocr_extract phase continues this stream).
-  const auto rng_state = ocr_->rng_state();
-  for (int i = 0; i < 4; ++i) w.u64(rng_state.s[i]);
-  w.f64(rng_state.cached_normal);
-  w.b(rng_state.has_cached_normal);
-  const auto& engine_stats = ocr_->stats();
-  w.u64(engine_stats.strings_read);
-  w.u64(engine_stats.strings_correct);
-  w.u64(engine_stats.char_errors);
-  w.u64(engine_stats.decimal_drops);
-
-  // Intermediate phase products.
-  w.u64(mid_.messages.size());
-  for (const auto& msg : mid_.messages) {
-    w.i64(msg.timestamp);
-    w.u32(msg.can_id);
-    w.bytes(msg.payload);
-  }
-  write_samples(w, mid_.samples);
-  write_samples(w, mid_.obd_samples);
-  write_extraction(w, mid_.extraction);
-  w.u64(mid_.associations.size());
-  for (const auto& assoc : mid_.associations) {
-    w.b(assoc.is_kwp);
-    w.u16(assoc.did);
-    w.u8(assoc.local_id);
-    w.u64(assoc.esv_index);
-    w.u64(assoc.xs.size());
-    for (const auto& x : assoc.xs) {
-      w.i64(x.timestamp);
-      w.u64(x.xs.size());
-      for (const double v : x.xs) w.f64(v);
-    }
-    w.u64(assoc.ys.size());
-    for (const auto& y : assoc.ys) {
-      w.i64(y.timestamp);
-      w.f64(y.y);
-    }
-    w.u64(assoc.names.size());
-    for (const auto& name : assoc.names) w.str(name);
-    w.u64(assoc.non_numeric);
-  }
-
-  // The report as filled in so far. Schema 2 (pre-spec-digest builds)
-  // keyed the report on the u32 catalog CarId.
-  if (schema == 2) {
-    w.u32(static_cast<std::uint32_t>(vehicle_->spec().id));
-  } else {
-    w.u64(report_.spec_digest);
-  }
-  w.str(report_.car_label);
-  w.u64(report_.census.single_frames);
-  w.u64(report_.census.first_frames);
-  w.u64(report_.census.consecutive_frames);
-  w.u64(report_.census.flow_control_frames);
-  w.u64(report_.census.vwtp_data_last);
-  w.u64(report_.census.vwtp_data_more);
-  w.u64(report_.census.vwtp_control);
-  w.u64(report_.census.other);
-  w.u64(report_.messages_assembled);
-  w.i64(report_.alignment_offset);
-  w.u64(report_.alignment_anchors);
-  w.u64(report_.signals.size());
-  for (const auto& s : report_.signals) {
-    w.b(s.is_kwp);
-    w.u16(s.did);
-    w.u8(s.local_id);
-    w.u64(s.esv_index);
-    w.str(s.semantic_name);
-    w.str(s.request_message);
-    w.b(s.is_enum);
-    write_dataset(w, s.dataset);
-    w.b(s.gp.has_value());
-    if (s.gp) write_gp_result(w, *s.gp);
-    w.b(s.linear.has_value());
-    if (s.linear) write_fit(w, *s.linear);
-    w.b(s.polynomial.has_value());
-    if (s.polynomial) write_fit(w, *s.polynomial);
-    w.str(s.truth_formula);
-    w.b(s.truth_is_enum);
-    w.b(s.gp_correct);
-    w.b(s.linear_correct);
-    w.b(s.polynomial_correct);
-  }
-  w.u64(report_.ecrs.size());
-  for (const auto& e : report_.ecrs) {
-    w.b(e.is_uds);
-    w.u16(e.id);
-    w.str(e.semantic_name);
-    w.u64(e.param_sequence.size());
-    for (const std::uint8_t p : e.param_sequence) w.u8(p);
-    w.bytes(e.adjustment_state);
-    w.b(e.three_message_pattern);
-    w.b(e.matches_truth);
-  }
-  w.u64(report_.ocr_stats.strings_read);
-  w.u64(report_.ocr_stats.strings_correct);
-  w.u64(report_.ocr_stats.char_errors);
-  w.u64(report_.ocr_stats.decimal_drops);
-  w.f64(report_.phases.collect_s);
-  w.f64(report_.phases.assemble_s);
-  w.f64(report_.phases.ocr_extract_s);
-  w.f64(report_.phases.align_s);
-  w.f64(report_.phases.associate_s);
-  w.f64(report_.phases.infer_s);
-  w.f64(report_.phases.score_s);
-  w.u64(report_.transactions.transactions);
-  w.u64(report_.transactions.retries);
-  w.u64(report_.transactions.busy_retries);
-  w.u64(report_.transactions.pending_waits);
-  w.u64(report_.transactions.failures);
-  w.u64(report_.failed_transactions.size());
-  for (const auto& f : report_.failed_transactions) {
-    w.b(f.is_kwp);
-    w.u16(f.id);
-    w.u64(f.failures);
-  }
-  w.u64(report_.bus_faults.delivered);
-  w.u64(report_.bus_faults.dropped);
-  w.u64(report_.bus_faults.corrupted);
-  w.u64(report_.bus_faults.duplicated);
-  w.u64(report_.bus_faults.jittered);
-  w.u64(report_.bus_faults.bursts);
-  w.u64(report_.session_stats.keepalives);
-  w.u64(report_.session_stats.sessions_lost);
-  w.u64(report_.session_stats.sessions_restored);
-  w.u64(report_.session_stats.reissued_requests);
-  w.u64(report_.session_stats.recovery_failures);
-  if (schema >= 4) {
-    // Schema 4 grew the NM-era fields: the supervisor's sleep counters
-    // and the NM ring outcome block.
-    w.u64(report_.session_stats.bus_sleeps);
-    w.u64(report_.session_stats.sleep_recoveries);
-  }
-  w.u64(report_.ecu_resets);
-  w.u64(report_.ecu_s3_expiries);
-  if (schema >= 4) {
-    w.b(report_.nm_enabled);
-    w.u64(report_.nm.sleeps);
-    w.u64(report_.nm.wakeups);
-    w.u64(report_.nm.frames_lost_to_sleep);
-    w.u64(report_.nm.limp_episodes);
-    w.u64(report_.nm.ring_repairs);
-    w.u64(report_.nm.nm_frames_sent);
-  }
-  w.b(report_.completed);
-  w.str(report_.failure_reason);
+  Save{w}(capture(), video_, obd_video_, obd_phase_end_, sessions_,
+          collected_, ocr_->rng_state(), ocr_->stats(), mid_, report_);
   return w.take();
 }
 
-bool Campaign::restore_state(const util::Bytes& payload,
-                             std::uint32_t schema) {
-  if (schema < 2 || schema > kCheckpointPayloadSchema) return false;
+bool Campaign::restore_state(const util::Bytes& payload) {
+  std::vector<can::TimestampedFrame> cap;
+  cps::VideoRecording video;
+  cps::VideoRecording obd_video;
+  util::SimTime obd_phase_end = 0;
+  std::vector<EcuSession> sessions;
+  bool collected = false;
+  util::Rng::State rng_state;
+  cps::OcrStats engine_stats;
+  Intermediate mid;
+  CampaignReport report;
   try {
     util::BinaryReader r(payload);
-
-    std::vector<can::TimestampedFrame> cap;
-    const std::uint64_t n_frames = r.u64();
-    for (std::uint64_t i = 0; i < n_frames; ++i) {
-      can::TimestampedFrame tf;
-      tf.timestamp = r.i64();
-      can::CanId id;
-      id.value = r.u32();
-      id.extended = r.b();
-      const std::uint8_t dlc = r.u8();
-      if (dlc > 8) throw std::runtime_error("checkpoint: bad frame dlc");
-      std::uint8_t data[8];
-      for (std::uint8_t j = 0; j < dlc; ++j) data[j] = r.u8();
-      tf.frame = can::CanFrame(id, std::span<const std::uint8_t>(data, dlc));
-      cap.push_back(tf);
-    }
-    cps::VideoRecording video = read_video(r);
-    cps::VideoRecording obd_video = read_video(r);
-    const util::SimTime obd_phase_end = r.i64();
-    std::vector<EcuSession> sessions;
-    const std::uint64_t n_sessions = r.u64();
-    for (std::uint64_t i = 0; i < n_sessions; ++i) {
-      EcuSession session;
-      session.ecu_index = r.u64();
-      session.live_begin = r.i64();
-      session.live_end = r.i64();
-      const std::uint64_t n_names = r.u64();
-      for (std::uint64_t j = 0; j < n_names; ++j) {
-        session.actuator_names.push_back(r.str());
-      }
-      session.active_begin = r.i64();
-      session.active_end = r.i64();
-      sessions.push_back(std::move(session));
-    }
-    const bool collected = r.b();
-
-    util::Rng::State rng_state;
-    for (int i = 0; i < 4; ++i) rng_state.s[i] = r.u64();
-    rng_state.cached_normal = r.f64();
-    rng_state.has_cached_normal = r.b();
-    cps::OcrStats engine_stats;
-    engine_stats.strings_read = r.u64();
-    engine_stats.strings_correct = r.u64();
-    engine_stats.char_errors = r.u64();
-    engine_stats.decimal_drops = r.u64();
-
-    Intermediate mid;
-    const std::uint64_t n_messages = r.u64();
-    for (std::uint64_t i = 0; i < n_messages; ++i) {
-      frames::DiagMessage msg;
-      msg.timestamp = r.i64();
-      msg.can_id = r.u32();
-      msg.payload = r.bytes();
-      mid.messages.push_back(std::move(msg));
-    }
-    mid.samples = read_samples(r);
-    mid.obd_samples = read_samples(r);
-    mid.extraction = read_extraction(r);
-    const std::uint64_t n_assocs = r.u64();
-    for (std::uint64_t i = 0; i < n_assocs; ++i) {
-      Association assoc;
-      assoc.is_kwp = r.b();
-      assoc.did = r.u16();
-      assoc.local_id = r.u8();
-      assoc.esv_index = r.u64();
-      const std::uint64_t n_xs = r.u64();
-      for (std::uint64_t j = 0; j < n_xs; ++j) {
-        correlate::XSample x;
-        x.timestamp = r.i64();
-        const std::uint64_t n_vals = r.u64();
-        for (std::uint64_t k = 0; k < n_vals; ++k) x.xs.push_back(r.f64());
-        assoc.xs.push_back(std::move(x));
-      }
-      const std::uint64_t n_ys = r.u64();
-      for (std::uint64_t j = 0; j < n_ys; ++j) {
-        correlate::YSample y;
-        y.timestamp = r.i64();
-        y.y = r.f64();
-        assoc.ys.push_back(y);
-      }
-      const std::uint64_t n_names = r.u64();
-      for (std::uint64_t j = 0; j < n_names; ++j) {
-        assoc.names.push_back(r.str());
-      }
-      assoc.non_numeric = r.u64();
-      mid.associations.push_back(std::move(assoc));
-    }
-
-    CampaignReport report;
-    if (schema == 2) {
-      // Schema-2 payloads carry the u32 catalog CarId; reject a payload
-      // for a different car and keep this campaign's spec digest (the
-      // uniform key the rest of the pipeline expects).
-      if (r.u32() != static_cast<std::uint32_t>(vehicle_->spec().id)) {
-        return false;
-      }
-      report.spec_digest = report_.spec_digest;
-    } else {
-      report.spec_digest = r.u64();
-    }
-    report.car_label = r.str();
-    report.census.single_frames = r.u64();
-    report.census.first_frames = r.u64();
-    report.census.consecutive_frames = r.u64();
-    report.census.flow_control_frames = r.u64();
-    report.census.vwtp_data_last = r.u64();
-    report.census.vwtp_data_more = r.u64();
-    report.census.vwtp_control = r.u64();
-    report.census.other = r.u64();
-    report.messages_assembled = r.u64();
-    report.alignment_offset = r.i64();
-    report.alignment_anchors = r.u64();
-    const std::uint64_t n_signals = r.u64();
-    for (std::uint64_t i = 0; i < n_signals; ++i) {
-      SignalFinding s;
-      s.is_kwp = r.b();
-      s.did = r.u16();
-      s.local_id = r.u8();
-      s.esv_index = r.u64();
-      s.semantic_name = r.str();
-      s.request_message = r.str();
-      s.is_enum = r.b();
-      s.dataset = read_dataset(r);
-      if (r.b()) s.gp = read_gp_result(r);
-      if (r.b()) s.linear = read_fit(r);
-      if (r.b()) s.polynomial = read_fit(r);
-      s.truth_formula = r.str();
-      s.truth_is_enum = r.b();
-      s.gp_correct = r.b();
-      s.linear_correct = r.b();
-      s.polynomial_correct = r.b();
-      report.signals.push_back(std::move(s));
-    }
-    const std::uint64_t n_ecrs = r.u64();
-    for (std::uint64_t i = 0; i < n_ecrs; ++i) {
-      EcrFinding e;
-      e.is_uds = r.b();
-      e.id = r.u16();
-      e.semantic_name = r.str();
-      const std::uint64_t n_params = r.u64();
-      for (std::uint64_t j = 0; j < n_params; ++j) {
-        e.param_sequence.push_back(r.u8());
-      }
-      e.adjustment_state = r.bytes();
-      e.three_message_pattern = r.b();
-      e.matches_truth = r.b();
-      report.ecrs.push_back(std::move(e));
-    }
-    report.ocr_stats.strings_read = r.u64();
-    report.ocr_stats.strings_correct = r.u64();
-    report.ocr_stats.char_errors = r.u64();
-    report.ocr_stats.decimal_drops = r.u64();
-    report.phases.collect_s = r.f64();
-    report.phases.assemble_s = r.f64();
-    report.phases.ocr_extract_s = r.f64();
-    report.phases.align_s = r.f64();
-    report.phases.associate_s = r.f64();
-    report.phases.infer_s = r.f64();
-    report.phases.score_s = r.f64();
-    report.transactions.transactions = r.u64();
-    report.transactions.retries = r.u64();
-    report.transactions.busy_retries = r.u64();
-    report.transactions.pending_waits = r.u64();
-    report.transactions.failures = r.u64();
-    const std::uint64_t n_failed = r.u64();
-    for (std::uint64_t i = 0; i < n_failed; ++i) {
-      TransactionFailure f;
-      f.is_kwp = r.b();
-      f.id = r.u16();
-      f.failures = r.u64();
-      report.failed_transactions.push_back(f);
-    }
-    report.bus_faults.delivered = r.u64();
-    report.bus_faults.dropped = r.u64();
-    report.bus_faults.corrupted = r.u64();
-    report.bus_faults.duplicated = r.u64();
-    report.bus_faults.jittered = r.u64();
-    report.bus_faults.bursts = r.u64();
-    report.session_stats.keepalives = r.u64();
-    report.session_stats.sessions_lost = r.u64();
-    report.session_stats.sessions_restored = r.u64();
-    report.session_stats.reissued_requests = r.u64();
-    report.session_stats.recovery_failures = r.u64();
-    if (schema >= 4) {
-      report.session_stats.bus_sleeps = r.u64();
-      report.session_stats.sleep_recoveries = r.u64();
-    }
-    report.ecu_resets = r.u64();
-    report.ecu_s3_expiries = r.u64();
-    if (schema >= 4) {
-      // Pre-NM payloads leave the block at its zero defaults — exactly
-      // the state an NM-less build would have carried forward.
-      report.nm_enabled = r.b();
-      report.nm.sleeps = r.u64();
-      report.nm.wakeups = r.u64();
-      report.nm.frames_lost_to_sleep = r.u64();
-      report.nm.limp_episodes = r.u64();
-      report.nm.ring_repairs = r.u64();
-      report.nm.nm_frames_sent = r.u64();
-    }
-    report.completed = r.b();
-    report.failure_reason = r.str();
+    Load{r}(cap, video, obd_video, obd_phase_end, sessions, collected,
+            rng_state, engine_stats, mid, report);
     if (!r.done()) return false;
-
-    // Everything parsed; commit.
-    restored_capture_ = std::move(cap);
-    video_ = std::move(video);
-    obd_video_ = std::move(obd_video);
-    obd_phase_end_ = obd_phase_end;
-    sessions_ = std::move(sessions);
-    collected_ = collected;
-    ocr_->restore(rng_state, engine_stats);
-    mid_ = std::move(mid);
-    report_ = std::move(report);
-    return true;
   } catch (const std::exception&) {
     return false;
   }
+
+  // Everything parsed; commit.
+  restored_capture_ = std::move(cap);
+  video_ = std::move(video);
+  obd_video_ = std::move(obd_video);
+  obd_phase_end_ = obd_phase_end;
+  sessions_ = std::move(sessions);
+  collected_ = collected;
+  ocr_->restore(rng_state, engine_stats);
+  mid_ = std::move(mid);
+  report_ = std::move(report);
+  return true;
 }
 
 }  // namespace dpr::core

@@ -62,12 +62,6 @@ struct CampaignOptions {
   /// fleet tasks and inner GP batches share the same workers, and the
   /// caller-participating pool makes the nesting deadlock-free.
   util::ThreadPool* infer_pool = nullptr;
-  /// Compute the field extraction and the traffic<->UI associations once
-  /// per analyze() and reuse them across alignment, signal analysis and
-  /// ECR analysis. `false` restores the legacy recompute-per-consumer
-  /// path (kept as an ablation / equivalence-test switch; the findings
-  /// are identical either way).
-  bool cache_analysis = true;
   /// Deterministic fault injection (bus drops/corruption/duplication,
   /// server 0x78/0x21 stalls) plus the resilient client policy that rides
   /// it out. Disabled by default; a disabled config performs zero RNG
@@ -221,14 +215,11 @@ struct CampaignReport {
   /// byte-identical to pre-NM builds).
   bool nm_enabled = false;
   nm::NmStats nm;
-  /// Checkpoint-store bookkeeping for this run (ISSUE 9): checkpoints
-  /// recovered through cross-version migration, and checkpoint files this
-  /// campaign had to quarantine (torn/corrupt/unrestorable) before
-  /// re-running the affected phases. Deliberately excluded from both the
-  /// serialized checkpoint payload and report_signature(): they describe
-  /// the *journey* of the state, not the state, so a migrated-then-resumed
-  /// run still signature-matches a fresh one.
-  std::size_t ckpt_salvaged = 0;
+  /// Checkpoint files this campaign had to quarantine (torn, corrupt,
+  /// pre-v5 or unrestorable) before re-running the affected phases.
+  /// Excluded from both the checkpoint payload and report_signature(): it
+  /// describes the journey of the state, not the state, so a resume that
+  /// fell back to fresh still signature-matches a fresh run.
   std::size_t ckpt_quarantined = 0;
   /// False when the campaign aborted with an exception (captured by
   /// core::FleetRunner); `failure_reason` then carries the what() text.
@@ -282,16 +273,12 @@ class Campaign {
   vehicle::Vehicle& vehicle() { return *vehicle_; }
 
   // --- Checkpoint schema tooling (ISSUE 9) -------------------------------
-  /// Serialize the current campaign state in a historical payload schema:
-  /// 2 (u32 CarId report key, pre-NM), 3 (spec-digest key, pre-NM) or 4
-  /// (current). Fixture generators use this to mint golden old-format
-  /// checkpoints; run() always writes the current schema.
+  /// Serialize the current campaign state as the checkpoint payload run()
+  /// writes. `schema` must be kCheckpointPayloadSchema (the only layout
+  /// this build reads); anything else throws std::invalid_argument.
   util::Bytes serialize_state_versioned(std::uint32_t schema) const;
-  /// The options digest run() keys checkpoints on. `legacy` selects the
-  /// v2/v3-era formula (predating the unconditional NM folds) — the digest
-  /// old builds would have computed for these options, which is where
-  /// load() searches for their files.
-  std::uint64_t checkpoint_options_digest(bool legacy = false) const;
+  /// The options digest run() keys checkpoints on.
+  std::uint64_t checkpoint_options_digest() const;
   /// The 64-bit car key run() checkpoints under (the car's spec digest).
   std::uint64_t checkpoint_car_key() const { return report_.spec_digest; }
 
@@ -309,6 +296,13 @@ class Campaign {
     std::vector<std::string> actuator_names;  // click order (OCR'd)
     util::SimTime active_begin = 0;
     util::SimTime active_end = 0;
+
+    /// Checkpoint wire order (see campaign.cpp).
+    template <class Ar>
+    friend void fields(Ar& ar, EcuSession& v) {
+      ar(v.ecu_index, v.live_begin, v.live_end, v.actuator_names,
+         v.active_begin, v.active_end);
+    }
   };
 
   void collect_obd_phase();
@@ -329,6 +323,13 @@ class Campaign {
     std::vector<correlate::YSample> ys;
     std::vector<std::string> names;   // OCR'd label per sample
     std::size_t non_numeric = 0;
+
+    /// Checkpoint wire order (see campaign.cpp).
+    template <class Ar>
+    friend void fields(Ar& ar, Association& v) {
+      ar(v.is_kwp, v.did, v.local_id, v.esv_index, v.xs, v.ys, v.names,
+         v.non_numeric);
+    }
   };
   /// Products handed from one analysis phase to the next; everything in
   /// here is part of the checkpoint payload so a resumed campaign can
@@ -339,6 +340,12 @@ class Campaign {
     std::vector<screenshot::UiSample> obd_samples;
     frames::ExtractionResult extraction;
     std::vector<Association> associations;
+
+    /// Checkpoint wire order (see campaign.cpp).
+    template <class Ar>
+    friend void fields(Ar& ar, Intermediate& v) {
+      ar(v.messages, v.samples, v.obd_samples, v.extraction, v.associations);
+    }
   };
 
   void phase_collect();
@@ -348,16 +355,15 @@ class Campaign {
   void phase_associate();
   void phase_infer();
   void phase_score();
+  void run_phase(std::size_t phase);
   void finish_collect();
   void maybe_stall(const char* phase) const;
 
-  std::uint64_t options_digest(bool legacy = false) const;
+  std::uint64_t options_digest() const;
   util::Bytes serialize_state() const;
-  /// Decode a checkpoint payload of the given schema (2/3/4). Schema 2/3
-  /// payloads predate the NM counters (and schema 2 keys its report block
-  /// on the u32 CarId); the missing fields restore to their zero
-  /// defaults, which is exactly what those builds would have produced.
-  bool restore_state(const util::Bytes& payload, std::uint32_t schema);
+  /// Decode a kCheckpointPayloadSchema payload; false (state untouched)
+  /// unless it parses completely.
+  bool restore_state(const util::Bytes& payload);
 
   std::vector<Association> build_associations(
       const frames::ExtractionResult& extraction,

@@ -9,20 +9,20 @@
 //
 // Container format v5 is self-describing: a section-tagged list (KEY /
 // PHS / STA), each section carrying its own version, wrapped in the
-// usual magic + trailing FNV-1a digest. Older containers (v2 u32-CarId
-// keys, v3 spec-digest keys, v4 NM-era payloads) still load through
-// forward-migration readers and are rewritten as v5 on first use, so
-// `--resume` works across builds. Files from a *newer* build (unknown
-// container version, unknown section, newer payload schema) are rejected
-// cleanly with a reason, never parsed as UB.
+// usual magic + trailing FNV-1a digest. It is the only format this build
+// reads. Anything else is rejected cleanly with a reason, never parsed
+// as UB: files from an older build (v2/v3/v4 monoliths) as bad structure
+// ("predates v5"), files from a newer build (unknown container version,
+// unknown section, newer payload schema) as future versions. A rejected
+// file is quarantined and its campaign simply runs fresh.
 //
 // The store is also self-healing: heal() scans the directory, quarantines
-// torn/corrupt/key-mismatched files into quarantine/ with a logged
+// torn/corrupt/old/key-mismatched files into quarantine/ with a logged
 // reason, and sweeps temp files orphaned by dead writers. A per-directory
-// MANIFEST (generation counter + save/remove/quarantine/migration
-// tallies) and a flock(2) advisory lock around every mutating operation
-// make the directory safe for a future dpr::serviced to own concurrently
-// with CLI runs.
+// MANIFEST (generation counter + save/remove/quarantine tallies) and a
+// flock(2) advisory lock around every mutating operation make the
+// directory safe for a future dpr::serviced to own concurrently with CLI
+// runs.
 
 #include <cstdint>
 #include <functional>
@@ -39,9 +39,9 @@ namespace dpr::core {
 inline constexpr std::uint32_t kCheckpointMagic = 0x43525044;  // "DPRC"
 /// Current container version (the file envelope).
 inline constexpr std::uint32_t kCheckpointVersion = 5;
-/// Current campaign-state schema carried by the STA section. Matches the
-/// v4 monolithic layout: the ISSUE 9 rework changed the envelope, not the
-/// campaign payload, so v4 files migrate by re-wrapping alone.
+/// Campaign-state schema carried by the STA section; the only one this
+/// build reads (an older STA is bad structure, a newer one a future
+/// version).
 inline constexpr std::uint32_t kCheckpointPayloadSchema = 4;
 /// v5 section tags (ASCII in a u32, zero-padded).
 inline constexpr std::uint32_t kSectionKey = 0x0059454B;    // "KEY"
@@ -64,20 +64,13 @@ class CheckpointStore {
     kFutureVersion,  ///< container/section/schema from a newer build
     kUnknownSection, ///< v5 container with a section this build lacks
     kKeyMismatch,    ///< file content disagrees with its filename key
-    kBadStructure,   ///< parsed but malformed (duplicate/missing section)
+    kBadStructure,   ///< malformed (duplicate/missing section) or pre-v5
   };
   static const char* load_error_name(LoadError error);
 
   struct Loaded {
     std::uint32_t phase = 0;  ///< index of the last *completed* phase
     util::Bytes payload;      ///< campaign state after that phase
-    /// Schema of `payload` (2/3/4): the campaign's restore path switches
-    /// on this, so a migrated container still decodes correctly.
-    std::uint32_t payload_schema = kCheckpointPayloadSchema;
-    /// True when the state came out of a v2/v3/v4 container (and was
-    /// rewritten as v5 under the current key) — the campaign counts it
-    /// as ckpt_salvaged.
-    bool migrated = false;
   };
 
   /// optional-like load outcome that also carries the failure reason.
@@ -93,39 +86,24 @@ class CheckpointStore {
     const Loaded& operator*() const { return *loaded; }
   };
 
-  /// Alternate keys for files written by older builds: the v2/v3-era
-  /// options-digest formula (no NM folds) and, for catalog cars, the u32
-  /// CarId that keyed v2 files before spec digests existed.
-  struct LegacyKey {
-    std::uint64_t options_digest = 0;
-    std::optional<std::uint32_t> catalog_car;
-  };
-
   /// The checkpoint file backing a key (for tests, CI and cleanup).
   /// `car` is the vehicle::spec_digest of the campaign's car, so catalog
   /// and generated cars share one uniform 64-bit key space.
   std::string path_for(std::uint64_t car, std::uint64_t seed,
                        std::uint64_t digest) const;
-  /// v2-era filename (decimal CarId key) — where a legacy lookup searches.
-  std::string legacy_path_for(std::uint32_t car, std::uint64_t seed,
-                              std::uint64_t digest) const;
 
   /// Persist `payload` as the state after `phase`. On failure the result
   /// names the failing stage + errno — the campaign then simply runs on
   /// uncheckpointed.
-  util::IoResult save(
-      std::uint64_t car, std::uint64_t seed, std::uint64_t digest,
-      std::uint32_t phase, std::span<const std::uint8_t> payload,
-      std::uint32_t payload_schema = kCheckpointPayloadSchema) const;
+  util::IoResult save(std::uint64_t car, std::uint64_t seed,
+                      std::uint64_t digest, std::uint32_t phase,
+                      std::span<const std::uint8_t> payload) const;
 
-  /// Load and validate the checkpoint for a key. Tries the current
-  /// filename first; with `legacy` set it then searches the v3-era name
-  /// (old digest formula) and the v2-era name (u32 CarId), migrating any
-  /// hit to a v5 container under the current key. A file that exists but
-  /// cannot be trusted (torn, corrupt, key-mismatched) is quarantined and
-  /// reported, never returned.
-  LoadResult load(std::uint64_t car, std::uint64_t seed, std::uint64_t digest,
-                  const LegacyKey* legacy = nullptr) const;
+  /// Load and validate the checkpoint for a key. A file that exists but
+  /// cannot be trusted (torn, corrupt, pre-v5, key-mismatched) is
+  /// quarantined and reported, never returned.
+  LoadResult load(std::uint64_t car, std::uint64_t seed,
+                  std::uint64_t digest) const;
 
   /// Drop the checkpoint for a key (the campaign ran to completion).
   void remove(std::uint64_t car, std::uint64_t seed,
@@ -144,7 +122,6 @@ class CheckpointStore {
     std::uint64_t saves = 0;
     std::uint64_t removes = 0;
     std::uint64_t quarantines = 0;
-    std::uint64_t migrations = 0;
   };
   /// Read-only snapshot (a corrupt or missing MANIFEST reads as zeros and
   /// is rebuilt by the next mutation).
@@ -153,8 +130,7 @@ class CheckpointStore {
   struct HealReport {
     std::size_t scanned = 0;      ///< *.ckpt files examined
     std::size_t healthy = 0;      ///< valid v5 files left in place
-    std::size_t legacy = 0;       ///< valid v2/v3/v4 files (migrate on load)
-    std::size_t quarantined = 0;  ///< torn/corrupt/mismatched files moved
+    std::size_t quarantined = 0;  ///< torn/corrupt/old/mismatched files moved
     std::size_t tmp_swept = 0;    ///< temp files of dead writers removed
   };
   /// Scan the directory once and quarantine everything untrustworthy.
@@ -170,14 +146,6 @@ class CheckpointStore {
   }
 
  private:
-  LoadResult load_at(const std::string& path, std::uint64_t expect_car,
-                     std::uint64_t expect_seed, std::uint64_t expect_digest,
-                     bool v2_key) const;
-  util::IoResult save_locked(std::uint64_t car, std::uint64_t seed,
-                             std::uint64_t digest, std::uint32_t phase,
-                             std::span<const std::uint8_t> payload,
-                             std::uint32_t payload_schema,
-                             bool migration) const;
   bool quarantine_file(const std::string& path,
                        const std::string& reason) const;
   void bump_manifest(const std::function<void(Manifest&)>& apply) const;

@@ -97,7 +97,7 @@ FleetSummary FleetRunner::run_impl(
   if (options_.campaign.resume && !options_.campaign.checkpoint_dir.empty()) {
     // One self-healing scan before the fan-out (not per campaign — a
     // 1024-car fleet must not rescan the directory 1024 times): torn,
-    // corrupt or key-mismatched files are quarantined with a logged
+    // corrupt, pre-v5 or key-mismatched files are quarantined with a logged
     // reason, so every campaign below either resumes from a trustworthy
     // checkpoint or starts fresh — never fails its car over a bad file.
     const CheckpointStore store(options_.campaign.checkpoint_dir);
@@ -171,7 +171,6 @@ FleetSummary FleetRunner::run_impl(
                        .count();
   for (const auto& report : summary.reports) {
     summary.phase_totals += report.phases;
-    summary.ckpt_salvaged += report.ckpt_salvaged;
     summary.ckpt_quarantined += report.ckpt_quarantined;
   }
   return summary;

@@ -57,11 +57,9 @@ struct FleetSummary {
   std::size_t threads_used = 1;
   double wall_s = 0.0;                  // end-to-end fleet wall clock
   PhaseTimings phase_totals;            // summed over all campaigns
-  /// Checkpoint-store health over the whole run (ISSUE 9): checkpoints
-  /// recovered via cross-version migration, and files quarantined either
-  /// by the pre-resume heal() scan or by individual campaigns. Excluded
-  /// from fleet_signature() — self-healing must not change results.
-  std::size_t ckpt_salvaged = 0;
+  /// Checkpoint files quarantined over the whole run, by the pre-resume
+  /// heal() scan or by individual campaigns. Excluded from
+  /// fleet_signature(): self-healing must not change results.
   std::size_t ckpt_quarantined = 0;
 
   // Headline totals (the paper's "570 reverse-engineered messages").

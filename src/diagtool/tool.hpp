@@ -93,7 +93,10 @@ class DiagnosticTool {
 
   const ToolProfile& profile() const { return profile_; }
 
-  /// The currently displayed screen (camera a / camera b view).
+  /// The currently displayed screen (camera a / camera b view). The
+  /// reference is invalidated by any click(): the screen is rebuilt, so
+  /// widget references and iterators taken before a click() dangle. Pick
+  /// the target first, then click.
   const Screen& screen() const { return screen_; }
 
   /// Robotic-clicker entry point: click at pixel coordinates.

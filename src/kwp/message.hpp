@@ -31,13 +31,8 @@ constexpr std::uint8_t kPositiveOffset = 0x40;
 constexpr std::uint8_t kResponseRequired = 0x01;
 constexpr std::uint8_t kResponseSuppressed = 0x02;
 
-/// Negative response codes shared with ISO 14229 (same byte values).
-constexpr std::uint8_t kNrcBusyRepeatRequest = 0x21;
-constexpr std::uint8_t kNrcRequestSequenceError = 0x24;
-constexpr std::uint8_t kNrcInvalidKey = 0x35;
-constexpr std::uint8_t kNrcExceedNumberOfAttempts = 0x36;
-constexpr std::uint8_t kNrcRequiredTimeDelayNotExpired = 0x37;
-constexpr std::uint8_t kNrcResponsePending = 0x78;
+/// Negative response code shared with ISO 14229 (same byte value); the
+/// other shared codes live in diag/server_core.hpp.
 constexpr std::uint8_t kNrcServiceNotSupportedInActiveSession = 0x7F;
 
 /// One ECU signal value record of a 0x61 response (Fig. 3): the formula
@@ -113,8 +108,6 @@ struct NegativeResponse {
   std::uint8_t requested_sid = 0;
   std::uint8_t code = 0;
 };
-std::optional<NegativeResponse> decode_negative_response(
-    std::span<const std::uint8_t> payload);
 
 bool is_positive_response(std::span<const std::uint8_t> payload,
                           std::uint8_t request_sid);

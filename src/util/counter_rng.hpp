@@ -59,7 +59,7 @@ class CounterRng {
 
   /// Raw draw `index` of event `event` — the pure Philox word this stream
   /// would produce there, without moving the stream. Draw j of at(e) is
-  /// word_at(e, j); batch engines (simd_philox) reproduce exactly these
+  /// word_at(e, j); the batch body (philox2x64x4) reproduces exactly these
   /// words.
   result_type word_at(std::uint64_t event, std::uint64_t index) const;
 

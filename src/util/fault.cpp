@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/simd_philox.hpp"
+#include "util/philox.hpp"
 
 namespace dpr::util {
 
@@ -145,7 +145,6 @@ void FaultInjector::decide_batch(std::uint64_t first_unit, std::size_t n,
     for (std::size_t i = 0; i < n; ++i) out[i] = RawDecision{};
     return;
   }
-  const Philox4Fn px = philox4();
   const std::uint64_t key = stream_.key();
   // Worst case a unit consumes 7 words (burst + drop + corrupt +
   // corrupt_bit + duplicate + jitter + delay) when every Lemire draw
@@ -163,7 +162,7 @@ void FaultInjector::decide_batch(std::uint64_t first_unit, std::size_t n,
       if (index >= kCols) return stream_.word_at(e0 + lane, index);
       while (filled <= index) {
         const std::uint64_t c1[4] = {filled, filled, filled, filled};
-        px(key, c0, c1, cols[filled]);
+        philox2x64x4(key, c0, c1, cols[filled]);
         ++filled;
       }
       return cols[index][lane];

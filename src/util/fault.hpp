@@ -113,8 +113,8 @@ class FaultInjector {
   RawDecision raw_decide(std::uint64_t unit) const;
 
   /// Pre-compute the RawDecisions of units [first_unit, first_unit + n)
-  /// in one pass, 4 units per Philox invocation (util::philox4 — AVX2
-  /// when available). Legality: every draw of unit u is the pure word
+  /// in one pass, 4 units per Philox invocation (util::philox2x64x4).
+  /// Legality: every draw of unit u is the pure word
   /// philox(key, u, j), so batch evaluation commutes with delivery order,
   /// and computing a raw for a unit that later lands inside a burst
   /// window (or is never delivered) is a non-event. Bit-identical to n

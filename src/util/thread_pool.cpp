@@ -27,7 +27,14 @@ ThreadPool::ThreadPool(std::size_t n_threads) {
 
 ThreadPool::~ThreadPool() {
   wait_idle();
-  stop_.store(true, std::memory_order_release);
+  // Publish under the sleep mutex: a worker that has just evaluated its
+  // wait predicate still holds the mutex, so it either sees the change or
+  // is already waiting when the notify arrives. Stored outside the mutex,
+  // the wakeup could fall between the two and join() would hang.
+  {
+    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    stop_.store(true, std::memory_order_release);
+  }
   sleep_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
@@ -40,7 +47,10 @@ void ThreadPool::submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(queues_[home]->mutex);
     queues_[home]->tasks.push_back(std::move(task));
   }
-  queued_.fetch_add(1, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(sleep_mutex_);  // see ~ThreadPool
+    queued_.fetch_add(1, std::memory_order_release);
+  }
   sleep_cv_.notify_one();
 }
 

@@ -30,33 +30,29 @@ EcuSim::EcuSim(const EcuSpec& spec, const CarSpec& car, can::CanBus& bus,
   if (spec_.supports_obd && car_.transport == TransportKind::kIsoTp) {
     install_obd(rng);
   }
-  if (faults.rate > 0.0) {
-    // Stream salts derive from the stable request id, so server faults
-    // replay identically regardless of vehicle seed or build order.
-    const double pending = faults.server_pending_rate();
-    const double busy = faults.server_busy_rate();
-    uds_server_.enable_faults(
-        uds::Server::FaultProfile{pending, 2, busy},
-        faults.rng_for(0x0D000000ULL + spec_.request_id));
-    kwp_server_.enable_faults(
-        kwp::Server::FaultProfile{pending, 2, busy},
-        faults.rng_for(0x0E000000ULL + spec_.request_id));
-  }
-  if (faults.stateful()) {
-    // Session timers always come with stateful failures: S3 expiry is what
-    // makes a reboot *stay* harmful until the supervisor re-establishes
-    // the session. Reset streams get their own salt space (0x0F/0x0F8).
-    uds_server_.enable_sessions(
-        uds::Server::SessionProfile{faults.s3_timeout}, clock_);
-    kwp_server_.enable_sessions(
-        kwp::Server::SessionProfile{faults.s3_timeout}, clock_);
-    if (faults.reset_rate > 0.0) {
-      uds_server_.enable_resets(
-          uds::Server::ResetProfile{faults.reset_rate, faults.reset_boot_time},
-          clock_, faults.stream_for(0x0F000000ULL + spec_.request_id));
-      kwp_server_.enable_resets(
-          kwp::Server::ResetProfile{faults.reset_rate, faults.reset_boot_time},
-          clock_, faults.stream_for(0x0F800000ULL + spec_.request_id));
+  // Both protocol servers get the same fault machinery, each on its own
+  // streams. Salts derive from the stable request id, so server faults
+  // replay identically regardless of vehicle seed or build order.
+  struct Salted {
+    diag::ServerCore& server;
+    std::uint64_t fault_salt;
+    std::uint64_t reset_salt;
+  };
+  for (const Salted& s : {Salted{uds_server_, 0x0D000000ULL, 0x0F000000ULL},
+                          Salted{kwp_server_, 0x0E000000ULL, 0x0F800000ULL}}) {
+    if (faults.rate > 0.0) {
+      s.server.enable_faults(
+          {faults.server_pending_rate(), 2, faults.server_busy_rate()},
+          faults.rng_for(s.fault_salt + spec_.request_id));
+    }
+    if (faults.stateful()) {
+      // Session timers always come with stateful failures: S3 expiry is
+      // what makes a reboot *stay* harmful until the supervisor
+      // re-establishes the session. A zero reset rate arms nothing.
+      s.server.enable_sessions({faults.s3_timeout}, clock_);
+      s.server.enable_resets(
+          {faults.reset_rate, faults.reset_boot_time}, clock_,
+          faults.stream_for(s.reset_salt + spec_.request_id));
     }
   }
   attach_transport(bus);

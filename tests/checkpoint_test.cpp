@@ -1,13 +1,13 @@
-// Checkpoint-store durability, schema migration and self-healing
-// (ISSUE 9): golden v2/v3/v4 containers committed as fixtures must
-// migrate to a bit-identical resumed report signature; torn, corrupt,
-// key-mismatched and future-format files must be quarantined with a
+// Checkpoint-store durability and self-healing: a torn, corrupt,
+// key-mismatched, pre-v5 or future-format file must be quarantined with a
 // logged reason (and the campaign re-runs the phase instead of failing);
-// the MANIFEST must account for every mutation of the directory.
+// the MANIFEST must account for every mutation of the directory; and the
+// options digest that names checkpoint files must not drift between
+// builds.
 //
-// This binary has a custom main: `checkpoint_test --make-fixtures <dir>`
-// regenerates the golden files under tests/fixtures/checkpoints instead
-// of running tests (used once per payload-schema bump, never in CI).
+// The one committed fixture is a v4 container written by a build that
+// predates v5, keyed for fixture_options() on Car A: this build must
+// reject it safely, never resume from it.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include <unistd.h>
 
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -26,13 +25,17 @@
 #include "util/checkpoint.hpp"
 #include "vehicle/catalog.hpp"
 
+#ifndef DPR_FIXTURE_DIR
+#define DPR_FIXTURE_DIR "tests/fixtures/checkpoints"
+#endif
+
 namespace dpr {
+namespace {
 
 namespace fs = std::filesystem;
 
 /// Same small-but-real profile the resilience suite uses; the committed
-/// fixtures embed this option set's digests, so changing it requires
-/// regenerating them (--make-fixtures).
+/// v4 fixture is named for this option set's digest.
 core::CampaignOptions fixture_options() {
   core::CampaignOptions options;
   options.live_window = 4 * util::kSecond;
@@ -41,95 +44,24 @@ core::CampaignOptions fixture_options() {
   return options;
 }
 
-/// Phase index the fixtures checkpoint after (2 = ocr_extract), so a
-/// resume still has real work (align..score) left to redo.
-constexpr std::uint32_t kFixturePhase = 2;
-
 struct FixtureKeys {
-  std::uint64_t car = 0;      ///< spec digest (v3+ key space)
+  std::uint64_t car = 0;  ///< spec digest
   std::uint64_t seed = 0;
-  std::uint64_t current = 0;  ///< today's options digest
-  std::uint64_t legacy = 0;   ///< v2/v3-era digest (pre-NM formula)
-  std::uint32_t catalog = 0;  ///< u32 CarId (v2 key space)
+  std::uint64_t digest = 0;
 };
 
 FixtureKeys fixture_keys() {
   const core::Campaign probe(vehicle::CarId::kA, fixture_options());
-  FixtureKeys keys;
-  keys.car = probe.checkpoint_car_key();
-  keys.seed = fixture_options().seed;
-  keys.current = probe.checkpoint_options_digest();
-  keys.legacy = probe.checkpoint_options_digest(/*legacy=*/true);
-  keys.catalog = static_cast<std::uint32_t>(vehicle::CarId::kA);
-  return keys;
+  return {probe.checkpoint_car_key(), fixture_options().seed,
+          probe.checkpoint_options_digest()};
 }
 
-/// Wrap `payload` in a pre-v5 monolithic container exactly as those
-/// builds wrote it: magic, version, key triple (u32 car in v2), phase,
-/// length-prefixed payload, trailing FNV.
-util::Bytes legacy_container(std::uint32_t version, const FixtureKeys& keys,
-                             std::uint64_t digest,
-                             const util::Bytes& payload) {
-  util::BinaryWriter w;
-  w.u32(core::kCheckpointMagic);
-  w.u32(version);
-  if (version == 2) {
-    w.u32(keys.catalog);
-  } else {
-    w.u64(keys.car);
-  }
-  w.u64(keys.seed);
-  w.u64(digest);
-  w.u32(kFixturePhase);
-  w.bytes(payload);
-  w.u64(util::fnv1a64(w.data()));
-  return w.take();
+/// The committed pre-v5 file, under the name today's build looks for.
+std::string v4_fixture() {
+  const auto keys = fixture_keys();
+  return core::CheckpointStore(DPR_FIXTURE_DIR)
+      .path_for(keys.car, keys.seed, keys.digest);
 }
-
-/// Regenerate the golden fixtures: run the fixture campaign to the
-/// fixture phase, serialize its state in each historical schema and wrap
-/// each in the container its era's build would have written.
-int make_fixtures(const std::string& dir) {
-  fs::create_directories(dir);
-  auto stopped = fixture_options();
-  stopped.stop_after_phase = static_cast<int>(kFixturePhase);
-  core::Campaign campaign(vehicle::CarId::kA, stopped);
-  campaign.run();
-
-  const FixtureKeys keys = fixture_keys();
-  const core::CheckpointStore namer(dir);
-  struct Golden {
-    std::uint32_t version;
-    std::string path;
-    std::uint64_t digest;
-  };
-  const Golden goldens[] = {
-      {2, namer.legacy_path_for(keys.catalog, keys.seed, keys.legacy),
-       keys.legacy},
-      {3, namer.path_for(keys.car, keys.seed, keys.legacy), keys.legacy},
-      {4, namer.path_for(keys.car, keys.seed, keys.current), keys.current},
-  };
-  for (const auto& golden : goldens) {
-    const auto payload = campaign.serialize_state_versioned(golden.version);
-    const auto container =
-        legacy_container(golden.version, keys, golden.digest, payload);
-    const auto io = util::write_file_atomic(golden.path, container);
-    if (!io) {
-      std::fprintf(stderr, "write %s: %s\n", golden.path.c_str(),
-                   io.message().c_str());
-      return 1;
-    }
-    std::printf("v%u fixture: %s (%zu bytes)\n", golden.version,
-                golden.path.c_str(), container.size());
-  }
-  return 0;
-}
-
-namespace {
-
-#ifndef DPR_FIXTURE_DIR
-#define DPR_FIXTURE_DIR "tests/fixtures/checkpoints"
-#endif
 
 const std::string& fresh_signature() {
   static const std::string signature = [] {
@@ -145,7 +77,7 @@ class StoreDir : public ::testing::Test {
  protected:
   StoreDir()
       : dir_((fs::temp_directory_path() /
-              ("dpr_ckpt_mig_" + std::to_string(::getpid()) + "_" +
+              ("dpr_ckpt_" + std::to_string(::getpid()) + "_" +
                ::testing::UnitTest::GetInstance()->current_test_info()->name()))
                  .string()) {
     fs::remove_all(dir_);
@@ -161,118 +93,101 @@ class StoreDir : public ::testing::Test {
     return target;
   }
 
+  /// A real v5 checkpoint: the fixture campaign stopped after ocr_extract.
+  std::string write_v5_checkpoint() {
+    auto options = fixture_options();
+    options.checkpoint_dir = dir_;
+    options.stop_after_phase = 2;
+    core::Campaign(vehicle::CarId::kA, options).run();
+    const auto keys = fixture_keys();
+    return core::CheckpointStore(dir_).path_for(keys.car, keys.seed,
+                                                keys.digest);
+  }
+
   std::string dir_;
 };
 
-struct FixtureSet {
-  FixtureKeys keys = fixture_keys();
-  std::string v2, v3, v4;
-  FixtureSet() {
-    const core::CheckpointStore namer(DPR_FIXTURE_DIR);
-    v2 = namer.legacy_path_for(keys.catalog, keys.seed, keys.legacy);
-    v3 = namer.path_for(keys.car, keys.seed, keys.legacy);
-    v4 = namer.path_for(keys.car, keys.seed, keys.current);
-  }
-};
-
-const FixtureSet& fixtures() {
-  static const FixtureSet set;
-  return set;
+TEST(Fixtures, PreV5FileIsCommitted) {
+  EXPECT_TRUE(fs::exists(v4_fixture())) << v4_fixture();
 }
 
-TEST(Fixtures, GoldenFilesAreCommitted) {
-  EXPECT_TRUE(fs::exists(fixtures().v2)) << fixtures().v2;
-  EXPECT_TRUE(fs::exists(fixtures().v3)) << fixtures().v3;
-  EXPECT_TRUE(fs::exists(fixtures().v4)) << fixtures().v4;
-}
+// --- Digests: checkpoint filenames stay stable across builds --------------
 
-// --- Migration: golden old-format files resume bit-identically ------------
-
-TEST_F(StoreDir, GoldenFixturesResumeToIdenticalSignature) {
-  struct Case {
-    const char* name;
-    const std::string& path;
+TEST(OptionsDigest, PinnedForDefaultFaultedNmAndVetoConfigs) {
+  // A change to any of these renames every checkpoint file of that
+  // configuration, silently orphaning resumable state.
+  const auto digest = [](const core::CampaignOptions& options) {
+    return core::Campaign(vehicle::CarId::kA, options)
+        .checkpoint_options_digest();
   };
-  const Case cases[] = {{"v2", fixtures().v2},
-                        {"v3", fixtures().v3},
-                        {"v4", fixtures().v4}};
-  for (const auto& test_case : cases) {
-    fs::remove_all(dir_);
-    install_fixture(test_case.path);
+  core::CampaignOptions options;
+  EXPECT_EQ(digest(options), 0xee9777ed0db60bd7ULL);
+  auto faulted = options;
+  faulted.faults.rate = 0.01;
+  EXPECT_EQ(digest(faulted), 0xd586dd22a57236ddULL);
+  auto stateful = options;
+  stateful.faults.reset_rate = 0.01;
+  stateful.faults.session_faults = true;
+  EXPECT_EQ(digest(stateful), 0xe9e6954a861245e0ULL);
+  auto nm = options;
+  nm.faults.nm = true;
+  EXPECT_EQ(digest(nm), 0x1925d8ca03d95282ULL);
+  auto veto = nm;
+  veto.faults.nm_veto_address = 2;
+  EXPECT_EQ(digest(veto), 0xded4a4e53295e357ULL);
+  EXPECT_EQ(digest(fixture_options()), 0xc12c4f96de841d69ULL);
+}
 
-    auto options = fixture_options();
-    options.checkpoint_dir = dir_;
-    options.resume = true;
-    core::Campaign resumed(vehicle::CarId::kA, options);
-    resumed.run();
-    EXPECT_EQ(core::report_signature(resumed.report()), fresh_signature())
-        << test_case.name;
-    EXPECT_EQ(resumed.report().ckpt_salvaged, 1u) << test_case.name;
-    EXPECT_EQ(resumed.report().ckpt_quarantined, 0u) << test_case.name;
+// --- Resume: v5 round trip, pre-v5 rejected --------------------------------
 
+TEST_F(StoreDir, V5CheckpointResumesToIdenticalSignature) {
+  write_v5_checkpoint();
+  auto options = fixture_options();
+  options.checkpoint_dir = dir_;
+  options.resume = true;
+  core::Campaign resumed(vehicle::CarId::kA, options);
+  resumed.run();
+  EXPECT_EQ(core::report_signature(resumed.report()), fresh_signature());
+  EXPECT_EQ(resumed.report().ckpt_quarantined, 0u);
+}
+
+TEST_F(StoreDir, PreV5CheckpointQuarantinedAndRunFresh) {
+  const auto keys = fixture_keys();
+  const std::string path = install_fixture(v4_fixture());
+  {
     const core::CheckpointStore store(dir_);
-    EXPECT_EQ(store.manifest().migrations, 1u) << test_case.name;
-    // Completed end to end: the migrated checkpoint was then retired.
-    const auto gone =
-        store.load(fixtures().keys.car, fixtures().keys.seed,
-                   fixtures().keys.current);
-    EXPECT_FALSE(gone.has_value()) << test_case.name;
-    EXPECT_EQ(gone.error, core::CheckpointStore::LoadError::kMissing)
-        << test_case.name;
+    const auto result = store.load(keys.car, keys.seed, keys.digest);
+    EXPECT_FALSE(result.has_value());
+    EXPECT_EQ(result.error, core::CheckpointStore::LoadError::kBadStructure);
+    EXPECT_NE(result.detail.find("predates v5"), std::string::npos)
+        << result.detail;
+    EXPECT_TRUE(result.quarantined);
+    EXPECT_FALSE(fs::exists(path));
   }
-}
 
-TEST_F(StoreDir, StoreRewritesLegacyContainerAsV5UnderCurrentKey) {
-  const auto& keys = fixtures().keys;
-  const std::string old_path = install_fixture(fixtures().v3);
+  // Through the campaign: the old file costs nothing but a fresh start.
+  fs::remove_all(dir_);
+  install_fixture(v4_fixture());
+  auto options = fixture_options();
+  options.checkpoint_dir = dir_;
+  options.resume = true;
+  core::Campaign resumed(vehicle::CarId::kA, options);
+  resumed.run();
+  EXPECT_EQ(core::report_signature(resumed.report()), fresh_signature());
+  EXPECT_EQ(resumed.report().ckpt_quarantined, 1u);
 
   const core::CheckpointStore store(dir_);
-  core::CheckpointStore::LegacyKey legacy;
-  legacy.options_digest = keys.legacy;
-  legacy.catalog_car = keys.catalog;
-
-  const auto first = store.load(keys.car, keys.seed, keys.current, &legacy);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_TRUE(first->migrated);
-  EXPECT_EQ(first->payload_schema, 3u);
-  EXPECT_EQ(first->phase, kFixturePhase);
-
-  // The legacy-named file is retired; the v5 rewrite (payload bytes and
-  // schema preserved verbatim) answers under the current key without
-  // needing the legacy key at all.
-  EXPECT_FALSE(fs::exists(old_path));
-  const auto second = store.load(keys.car, keys.seed, keys.current);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_FALSE(second->migrated);
-  EXPECT_EQ(second->payload_schema, 3u);
-  EXPECT_EQ(second->payload, first->payload);
-  EXPECT_EQ(store.manifest().migrations, 1u);
-  EXPECT_EQ(store.manifest().saves, 1u);
-}
-
-TEST_F(StoreDir, V2CatalogKeyIsOnlySearchedWithLegacyKey) {
-  const auto& keys = fixtures().keys;
-  install_fixture(fixtures().v2);
-  const core::CheckpointStore store(dir_);
-
-  // Without the legacy key the v2 file is invisible: a clean miss.
-  const auto blind = store.load(keys.car, keys.seed, keys.current);
-  EXPECT_FALSE(blind.has_value());
-  EXPECT_EQ(blind.error, core::CheckpointStore::LoadError::kMissing);
-
-  core::CheckpointStore::LegacyKey legacy;
-  legacy.options_digest = keys.legacy;
-  legacy.catalog_car = keys.catalog;
-  const auto found = store.load(keys.car, keys.seed, keys.current, &legacy);
-  ASSERT_TRUE(found.has_value());
-  EXPECT_TRUE(found->migrated);
-  EXPECT_EQ(found->payload_schema, 2u);
+  EXPECT_EQ(store.manifest().quarantines, 1u);
+  const auto log = util::read_file(store.reasons_log_path());
+  ASSERT_TRUE(log.has_value());
+  const std::string text(log->begin(), log->end());
+  EXPECT_NE(text.find("predates v5"), std::string::npos);
 }
 
 // --- Self-healing: untrustworthy files are quarantined, never fatal -------
 
 TEST_F(StoreDir, TruncatedCheckpointQuarantinedAndPhaseRerun) {
-  const std::string path = install_fixture(fixtures().v4);
+  const std::string path = write_v5_checkpoint();
   const auto full = util::read_file(path);
   ASSERT_TRUE(full.has_value());
   {
@@ -291,7 +206,6 @@ TEST_F(StoreDir, TruncatedCheckpointQuarantinedAndPhaseRerun) {
   // quarantined checkpoint, reason on record.
   EXPECT_EQ(core::report_signature(resumed.report()), fresh_signature());
   EXPECT_EQ(resumed.report().ckpt_quarantined, 1u);
-  EXPECT_EQ(resumed.report().ckpt_salvaged, 0u);
 
   const core::CheckpointStore store(dir_);
   EXPECT_EQ(store.manifest().quarantines, 1u);
@@ -303,14 +217,14 @@ TEST_F(StoreDir, TruncatedCheckpointQuarantinedAndPhaseRerun) {
 }
 
 TEST_F(StoreDir, CorruptedByteIsTornNotCrash) {
-  const auto& keys = fixtures().keys;
-  const std::string path = install_fixture(fixtures().v4);
+  const auto keys = fixture_keys();
+  const std::string path = write_v5_checkpoint();
   auto data = *util::read_file(path);
   data[data.size() / 2] ^= 0x40;
   ASSERT_TRUE(util::write_file_atomic(path, data));
 
   const core::CheckpointStore store(dir_);
-  const auto result = store.load(keys.car, keys.seed, keys.current);
+  const auto result = store.load(keys.car, keys.seed, keys.digest);
   EXPECT_FALSE(result.has_value());
   EXPECT_EQ(result.error, core::CheckpointStore::LoadError::kTorn);
   EXPECT_TRUE(result.quarantined);
@@ -320,16 +234,16 @@ TEST_F(StoreDir, CorruptedByteIsTornNotCrash) {
 }
 
 TEST_F(StoreDir, FutureContainerVersionRejectedWithReason) {
-  const auto& keys = fixtures().keys;
+  const auto keys = fixture_keys();
   const core::CheckpointStore store(dir_);
   util::BinaryWriter w;
   w.u32(core::kCheckpointMagic);
   w.u32(core::kCheckpointVersion + 1);
   w.u64(util::fnv1a64(w.data()));
   ASSERT_TRUE(util::write_file_atomic(
-      store.path_for(keys.car, keys.seed, keys.current), w.data()));
+      store.path_for(keys.car, keys.seed, keys.digest), w.data()));
 
-  const auto result = store.load(keys.car, keys.seed, keys.current);
+  const auto result = store.load(keys.car, keys.seed, keys.digest);
   EXPECT_FALSE(result.has_value());
   EXPECT_EQ(result.error, core::CheckpointStore::LoadError::kFutureVersion);
   EXPECT_TRUE(result.quarantined);
@@ -337,7 +251,7 @@ TEST_F(StoreDir, FutureContainerVersionRejectedWithReason) {
 }
 
 TEST_F(StoreDir, UnknownSectionRejectedByName) {
-  const auto& keys = fixtures().keys;
+  const auto keys = fixture_keys();
   const core::CheckpointStore store(dir_);
   util::BinaryWriter w;
   w.u32(core::kCheckpointMagic);
@@ -348,9 +262,9 @@ TEST_F(StoreDir, UnknownSectionRejectedByName) {
   w.bytes(util::Bytes{0xAB});
   w.u64(util::fnv1a64(w.data()));
   ASSERT_TRUE(util::write_file_atomic(
-      store.path_for(keys.car, keys.seed, keys.current), w.data()));
+      store.path_for(keys.car, keys.seed, keys.digest), w.data()));
 
-  const auto result = store.load(keys.car, keys.seed, keys.current);
+  const auto result = store.load(keys.car, keys.seed, keys.digest);
   EXPECT_FALSE(result.has_value());
   EXPECT_EQ(result.error, core::CheckpointStore::LoadError::kUnknownSection);
   EXPECT_TRUE(result.quarantined);
@@ -358,16 +272,14 @@ TEST_F(StoreDir, UnknownSectionRejectedByName) {
 }
 
 TEST_F(StoreDir, EmbeddedKeyMismatchQuarantined) {
-  const auto& keys = fixtures().keys;
   const core::CheckpointStore store(dir_);
   // File named for one digest, content keyed for another: the classic
   // "renamed by hand" corruption.
-  const auto content = util::read_file(fixtures().v4);
-  ASSERT_TRUE(content.has_value());
-  ASSERT_TRUE(util::write_file_atomic(
-      store.path_for(keys.car, keys.seed, keys.current ^ 1), *content));
+  const util::Bytes payload{0x01, 0x02};
+  ASSERT_TRUE(store.save(7, 8, 9, 0, payload));
+  fs::rename(store.path_for(7, 8, 9), store.path_for(7, 8, 10));
 
-  const auto result = store.load(keys.car, keys.seed, keys.current ^ 1);
+  const auto result = store.load(7, 8, 10);
   EXPECT_FALSE(result.has_value());
   EXPECT_EQ(result.error, core::CheckpointStore::LoadError::kKeyMismatch);
   EXPECT_TRUE(result.quarantined);
@@ -385,14 +297,15 @@ TEST_F(StoreDir, MissingFileIsACleanMissNotAFault) {
 
 // --- heal(): one sweep quarantines the bad, keeps the good ----------------
 
-TEST_F(StoreDir, HealSweepsGarbageDeadTmpsAndCountsLegacy) {
-  const auto& keys = fixtures().keys;
+TEST_F(StoreDir, HealSweepsGarbageOldFilesAndDeadTmps) {
+  const auto keys = fixture_keys();
   const core::CheckpointStore store(dir_);
-  // Healthy v5 file (via a real save), one legacy fixture, one garbage
-  // file wearing the .ckpt extension, one temp file of a dead writer.
+  // Healthy v5 file (via a real save) under another key, the pre-v5
+  // fixture, one garbage file wearing the .ckpt extension, one temp file
+  // of a dead writer.
   const util::Bytes payload{0x01, 0x02, 0x03};
-  ASSERT_TRUE(store.save(keys.car, keys.seed, keys.current, 1, payload));
-  install_fixture(fixtures().v3);
+  ASSERT_TRUE(store.save(keys.car, keys.seed, keys.digest ^ 1, 1, payload));
+  install_fixture(v4_fixture());
   const util::Bytes garbage{'n', 'o', 't', ' ', 'a', ' ', 'c', 'k', 'p',
                             't', ' ', 'a', 't', ' ', 'a', 'l', 'l', '!'};
   ASSERT_TRUE(util::write_file_atomic(dir_ + "/dpr-garbage.ckpt", garbage));
@@ -411,11 +324,11 @@ TEST_F(StoreDir, HealSweepsGarbageDeadTmpsAndCountsLegacy) {
   const auto healed = store.heal();
   EXPECT_EQ(healed.scanned, 3u);
   EXPECT_EQ(healed.healthy, 1u);
-  EXPECT_EQ(healed.legacy, 1u);  // left in place: migrates on first load
-  EXPECT_EQ(healed.quarantined, 1u);
+  EXPECT_EQ(healed.quarantined, 2u);  // garbage + pre-v5
   EXPECT_EQ(healed.tmp_swept, 1u);
   EXPECT_FALSE(fs::exists(dir_ + "/dpr-garbage.ckpt"));
-  EXPECT_TRUE(fs::exists(fs::path(dir_) / fs::path(fixtures().v3).filename()));
+  EXPECT_FALSE(fs::exists(fs::path(dir_) / fs::path(v4_fixture()).filename()));
+  EXPECT_TRUE(fs::exists(store.path_for(keys.car, keys.seed, keys.digest ^ 1)));
 
   // The directory is now stable: a second sweep finds nothing to do.
   const auto again = store.heal();
@@ -473,17 +386,3 @@ TEST_F(StoreDir, SaveSurfacesFailingStageAndErrno) {
 
 }  // namespace
 }  // namespace dpr
-
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--make-fixtures") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--make-fixtures needs a directory\n");
-        return 2;
-      }
-      return dpr::make_fixtures(argv[i + 1]);
-    }
-  }
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}

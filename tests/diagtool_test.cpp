@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "can/bus.hpp"
 #include "can/sniffer.hpp"
 #include "diagtool/tool.hpp"
@@ -151,14 +153,18 @@ TEST_F(ToolFixture, ObdLiveViewReadsStandardPids) {
 TEST_F(ToolFixture, BackIconNavigatesUp) {
   click("Local Diagnostics");
   ASSERT_EQ(tool_.mode(), DiagnosticTool::Mode::kEcuList);
-  // The back icon is the icon button at the top-left corner.
-  bool clicked = false;
+  // The back icon is the icon button at the top-left corner. Take its
+  // position first and click after the loop: click() rebuilds the
+  // screen, which invalidates the widget being iterated.
+  std::optional<Rect> back;
   for (const auto& w : tool_.screen().widgets) {
     if (w.kind == Widget::Kind::kIconButton) {
-      clicked = tool_.click(w.bounds.center_x(), w.bounds.center_y());
+      back = w.bounds;
+      break;
     }
   }
-  ASSERT_TRUE(clicked);
+  ASSERT_TRUE(back.has_value());
+  ASSERT_TRUE(tool_.click(back->center_x(), back->center_y()));
   EXPECT_EQ(tool_.mode(), DiagnosticTool::Mode::kMainMenu);
 }
 

@@ -1,7 +1,6 @@
 // Fleet-level parallelism tests: a multi-threaded core::FleetRunner must
 // be bit-identical to the plain serial campaign loop for every thread
-// count (campaigns are fully independent and internally seeded), and the
-// analyze-phase caching must not change any finding.
+// count (campaigns are fully independent and internally seeded).
 
 #include <gtest/gtest.h>
 
@@ -99,29 +98,6 @@ TEST(Fleet, SummaryAggregatesPhaseTimingsAndTotals) {
             summary.total_signals());
   EXPECT_GT(summary.total_gp_correct(), 0u);
   EXPECT_GT(summary.total_ecrs(), 0u);
-}
-
-TEST(Fleet, CachedAnalysisMatchesLegacyRecomputePath) {
-  // Car A: OBD-aligned (IsoTp); Car B: alignment falls back to the
-  // change-latency estimator, the path where build_associations used to
-  // run twice. Both must be unaffected by the caching.
-  for (const auto car : {vehicle::CarId::kA, vehicle::CarId::kB}) {
-    CampaignOptions cached = small_options();
-    cached.cache_analysis = true;
-    Campaign with_cache(car, cached);
-    with_cache.collect();
-    with_cache.analyze();
-
-    CampaignOptions legacy = small_options();
-    legacy.cache_analysis = false;
-    Campaign without_cache(car, legacy);
-    without_cache.collect();
-    without_cache.analyze();
-
-    EXPECT_EQ(report_signature(with_cache.report()),
-              report_signature(without_cache.report()))
-        << "car " << static_cast<int>(car);
-  }
 }
 
 TEST(Fleet, TapeEvalMatchesTreeEvalSignatures) {

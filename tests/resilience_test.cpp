@@ -539,13 +539,10 @@ TEST(NmCampaign, VetoHoldoutKeepsTheBusAwakeDeterministically) {
             core::report_signature(report));
 
   // The veto is a semantic option: it keys its own checkpoints via the
-  // armed-knob fold, while the legacy-era digest (and with it the v2/v3
-  // migration search path) is deliberately untouched.
+  // armed-knob fold.
   const core::Campaign plain(vehicle::CarId::kA, nm_options());
   EXPECT_NE(veto.checkpoint_options_digest(),
             plain.checkpoint_options_digest());
-  EXPECT_EQ(veto.checkpoint_options_digest(/*legacy=*/true),
-            plain.checkpoint_options_digest(/*legacy=*/true));
 }
 
 TEST(NmCampaign, ObliviousToolLosesStrictlyMoreFramesToSleep) {

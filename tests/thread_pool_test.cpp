@@ -114,5 +114,19 @@ TEST(ThreadPool, WorkStealingDrainsSkewedLoad) {
   EXPECT_EQ(sum.load(), 64);
 }
 
+TEST(ThreadPool, ConstructSubmitDestroyNeverLosesAWakeup) {
+  // Destroying a pool right after construction or a submit races the
+  // workers' first trip into their sleep wait. A stop or queue signal
+  // published outside the sleep mutex can fall between a worker's
+  // predicate check and its wait, and join() then hangs; ctest's TIMEOUT
+  // turns such a hang into a failure.
+  std::atomic<int> ran{0};
+  for (int cycle = 0; cycle < 20000; ++cycle) {
+    ThreadPool pool(2);
+    if (cycle % 2 == 0) pool.submit([&ran] { ran.fetch_add(1); });
+  }
+  EXPECT_EQ(ran.load(), 10000);
+}
+
 }  // namespace
 }  // namespace dpr::util

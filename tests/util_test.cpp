@@ -16,7 +16,6 @@
 #include "util/hex.hpp"
 #include "util/philox.hpp"
 #include "util/rng.hpp"
-#include "util/simd_philox.hpp"
 #include "util/stats.hpp"
 
 namespace dpr::util {
@@ -112,16 +111,16 @@ TEST(CounterRng, ChanceBoundariesAreDrawFree) {
   EXPECT_EQ(rng.draw_index(), 0u);  // boundary probabilities draw nothing
 }
 
-// --- 4-wide Philox kernels (ISSUE 10) --------------------------------------
+// --- 4-lane Philox body ----------------------------------------------------
 
-TEST(SimdPhilox, ScalarBatchMatchesCounterRngWordAt) {
-  // The 4-wide body under a CounterRng-derived key must reproduce that
+TEST(Philox4, MatchesCounterRngWordAt) {
+  // The 4-lane body under a CounterRng-derived key must reproduce that
   // stream's word_at() (and hence at(event)'s first draws) exactly.
   const CounterRng stream(0xFEEDFACE, 5);
   const std::uint64_t c0[4] = {0, 1, 41, 0xFFFFFFFFFFFFFFFFull};
   const std::uint64_t c1[4] = {0, 7, 2, 0xFFFFFFFFFFFFFFFFull};
   std::uint64_t out[4];
-  philox2x64x4_scalar(stream.key(), c0, c1, out);
+  philox2x64x4(stream.key(), c0, c1, out);
   for (int lane = 0; lane < 4; ++lane) {
     EXPECT_EQ(out[lane], stream.word_at(c0[lane], c1[lane])) << lane;
   }
@@ -130,62 +129,25 @@ TEST(SimdPhilox, ScalarBatchMatchesCounterRngWordAt) {
   EXPECT_EQ(view(), stream.word_at(41, 0));
 }
 
-TEST(SimdPhilox, DispatchedKernelMatchesScalarReferenceFuzz) {
-  // >= 1e6 (key, counter)-pair fuzz of whatever kernel philox4() resolved
-  // to (the pipelined scalar body by default; the AVX2 body under
-  // DPR_PHILOX_AVX2=1 when compiled + supported) against the shared
-  // scalar philox2x64 reference. On a forced-scalar build
-  // (-DDPR_ENABLE_AVX2=OFF) this degenerates to scalar-vs-scalar, which
-  // still pins the 4-lane blocking logic.
-  const Philox4Fn fn = philox4();
-  ASSERT_NE(fn, nullptr);
-  if (!philox4_simd_compiled()) {
-    EXPECT_EQ(fn, &philox2x64x4_scalar);
-  }
+TEST(Philox4, MatchesScalarReferenceFuzz) {
+  // 1e6 (key, counter)-pair fuzz of the 4-lane body against the one-lane
+  // philox2x64 reference; pins the lane blocking.
   Rng fuzz(20260808);
   std::uint64_t c0[4], c1[4], out[4];
   constexpr int kBlocks = 250000;  // 4 lanes each: 1e6 pairs
   for (int block = 0; block < kBlocks; ++block) {
     const std::uint64_t key = fuzz();
     for (int lane = 0; lane < 4; ++lane) {
-      // Mix raw 64-bit values with small/boundary counters so carry
-      // propagation in the vector mulhi path gets both regimes.
+      // Mix raw 64-bit values with small/boundary counters so the
+      // multiply carries see both regimes.
       c0[lane] = (block % 3 == 0) ? fuzz() : static_cast<std::uint64_t>(
                                                  fuzz() & 0xFF);
       c1[lane] = (block % 2 == 0) ? fuzz() : 0;
     }
-    fn(key, c0, c1, out);
+    philox2x64x4(key, c0, c1, out);
     for (int lane = 0; lane < 4; ++lane) {
       ASSERT_EQ(out[lane], philox2x64(key, c0[lane], c1[lane]))
           << "block " << block << " lane " << lane;
-    }
-  }
-}
-
-TEST(SimdPhilox, Avx2KernelMatchesScalarWhenRunnable) {
-  // Directly fuzz the AVX2 body when this build carries one and the CPU
-  // can run it; otherwise assert the stub contract.
-  const Philox4Fn avx2 = philox4_avx2();
-  if (!philox4_simd_compiled()) {
-    EXPECT_EQ(avx2, nullptr);
-    EXPECT_FALSE(philox4_simd_supported());
-    GTEST_SKIP() << "build has no AVX2 Philox body";
-  }
-  ASSERT_NE(avx2, nullptr);
-  if (!philox4_simd_supported()) GTEST_SKIP() << "CPU lacks AVX2";
-  Rng fuzz(77001);
-  std::uint64_t c0[4], c1[4], out[4], ref[4];
-  for (int block = 0; block < 250000; ++block) {
-    const std::uint64_t key = fuzz();
-    for (int lane = 0; lane < 4; ++lane) {
-      c0[lane] = fuzz();
-      c1[lane] = fuzz();
-    }
-    avx2(key, c0, c1, out);
-    philox2x64x4_scalar(key, c0, c1, ref);
-    for (int lane = 0; lane < 4; ++lane) {
-      ASSERT_EQ(out[lane], ref[lane]) << "block " << block << " lane "
-                                      << lane;
     }
   }
 }

@@ -73,10 +73,10 @@ void usage() {
                "  --resume         resume from matching checkpoints (same\n"
                "                   car, seed and options); the resumed\n"
                "                   report is bit-identical to a fresh run.\n"
-               "                   Old-format checkpoints (v2/v3/v4) migrate\n"
-               "                   in place; torn/corrupt files are moved to\n"
-               "                   <dir>/quarantine with a reason logged and\n"
-               "                   the affected phases re-run\n"
+               "                   Old-format (v2/v3/v4) checkpoints are not\n"
+               "                   migrated: like torn or corrupt files they\n"
+               "                   are moved to <dir>/quarantine with a\n"
+               "                   reason logged and the car runs fresh\n"
                "  --crash-at <site[:n]>  deterministic crash injection: the\n"
                "                   n-th hit (default 1) of the named crash\n"
                "                   point _exit(86)s the process; see\n"
@@ -159,9 +159,9 @@ int run_fleet(const std::vector<dpr::vehicle::CarSpec>& specs,
                 static_cast<unsigned long long>(tx.failures));
   }
   if (!campaign_options.checkpoint_dir.empty() &&
-      (summary.ckpt_salvaged > 0 || summary.ckpt_quarantined > 0)) {
-    std::printf("checkpoint store: ckpt_salvaged=%zu ckpt_quarantined=%zu\n",
-                summary.ckpt_salvaged, summary.ckpt_quarantined);
+      summary.ckpt_quarantined > 0) {
+    std::printf("checkpoint store: ckpt_quarantined=%zu\n",
+                summary.ckpt_quarantined);
   }
   std::printf("wall time %.2f s (%zu threads); phase CPU-s: collect %.1f, "
               "infer %.1f, other %.1f\n",
