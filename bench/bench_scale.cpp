@@ -9,6 +9,18 @@
 //   * an interrupt (stop_after_phase) + resume must reproduce the
 //     uninterrupted signature bit for bit.
 //
+// GP-call page-fault gate: after the timed tiers, every GP search of
+// each tier is replayed on a fresh thread with getrusage(RUSAGE_THREAD)
+// around each gp::infer_formula call. The replay must reproduce each
+// campaign's formula and fitness, and a call may take at most 64 minor
+// page faults on average. A call's working memory is its thread's own,
+// reused from the previous call, so a warm call faults almost nothing;
+// building a megabyte-sized table per call costs hundreds. Before each
+// call the replay hands all free heap memory back to the kernel (see
+// replay), so memory a call allocates faults on every call instead of
+// whenever the heap layout lets it. The fault gate is skipped in
+// sanitizer builds, whose shadow memory faults on its own.
+//
 // Flags (all optional, for CI smoke runs on small machines):
 //   --max-cars N    cap the largest tier (default 1024)
 //   --threads N     fleet threads for the timed runs (default 0 = all)
@@ -16,12 +28,17 @@
 //   --population P  GP population (default 64)
 //   --gen-seed S    generator base seed (default 0x5CA1E)
 
+#include <sys/prctl.h>
 #include <sys/resource.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -29,11 +46,32 @@
 
 #include "bench_common.hpp"
 #include "core/fleet.hpp"
+#include "gp/engine.hpp"
 #include "vehicle/generator.hpp"
 
 namespace {
 
 using namespace dpr;
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizedBuild = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizedBuild = true;
+#else
+constexpr bool kSanitizedBuild = false;
+#endif
+#else
+constexpr bool kSanitizedBuild = false;
+#endif
+
+constexpr double kMaxFaultsPerGpCall = 64.0;
+
+long minor_faults_this_thread() {
+  struct rusage usage {};
+  getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_minflt;
+}
 
 long peak_rss_kb() {
   struct rusage usage {};
@@ -62,6 +100,78 @@ CacheStats cache_stats(const core::FleetSummary& summary) {
     }
   }
   return stats;
+}
+
+/// One GP search a campaign ran, with what it found.
+struct GpSearch {
+  correlate::Dataset dataset;
+  gp::GpConfig config;
+  std::string formula;
+  double fitness = 0.0;
+};
+
+std::vector<GpSearch> gp_searches(const core::FleetSummary& summary,
+                                  const gp::GpConfig& base) {
+  std::vector<GpSearch> searches;
+  for (const auto& report : summary.reports) {
+    for (const auto& signal : report.signals) {
+      if (!signal.gp) continue;
+      searches.push_back({signal.dataset, core::signal_gp_config(base, signal),
+                          signal.gp->formula, signal.gp->fitness});
+    }
+  }
+  return searches;
+}
+
+struct GpReplay {
+  std::size_t calls = 0;
+  long minor_faults = 0;
+  bool identical = true;
+  double faults_per_call() const {
+    return calls == 0 ? 0.0
+                      : static_cast<double>(minor_faults) /
+                            static_cast<double>(calls);
+  }
+};
+
+/// Re-run `searches` on a fresh thread, like one of the fleet's pool
+/// workers, counting the minor page faults inside the infer_formula calls
+/// only. The first call warms the thread's GP workspace; that one-time
+/// cost is part of the per-call figure.
+///
+/// Left alone, the allocator serves a call from memory an earlier call
+/// freed, and whether that memory is still mapped depends on heap layout:
+/// one 4 MiB table per call measured anywhere from 0 to 990 faults per
+/// call. So before each call malloc_trim(0) returns every free page to
+/// the kernel, and transparent huge pages are turned off for the rest of
+/// the process, so each fresh 4 KiB page a call touches is one fault.
+/// Memory a thread keeps across calls stays mapped and costs nothing. The
+/// timed tiers ran before this, with both left at their defaults.
+GpReplay replay(const std::vector<GpSearch>& searches) {
+  prctl(PR_SET_THP_DISABLE, 1, 0, 0, 0);
+  GpReplay out;
+  std::exception_ptr error;
+  std::thread([&] {
+    try {
+      for (const auto& search : searches) {
+#if defined(__GLIBC__)
+        malloc_trim(0);
+#endif
+        const long before = minor_faults_this_thread();
+        const auto result = gp::infer_formula(search.dataset, search.config);
+        out.minor_faults += minor_faults_this_thread() - before;
+        ++out.calls;
+        if (!result || result->formula != search.formula ||
+            result->fitness != search.fitness) {
+          out.identical = false;
+        }
+      }
+    } catch (...) {
+      error = std::current_exception();
+    }
+  }).join();
+  if (error) std::rethrow_exception(error);
+  return out;
 }
 
 std::size_t count_checkpoints(const std::string& dir) {
@@ -171,8 +281,10 @@ int main(int argc, char** argv) {
     std::size_t ecrs = 0;
     CacheStats cache;
     long peak_rss_kb = 0;
+    GpReplay replay;
   };
   std::vector<TierResult> results;
+  std::vector<std::vector<GpSearch>> searches;
   std::printf("%-8s %-10s %-8s %-9s %-7s %-10s %-12s\n", "cars", "wall s",
               "ok", "#signals", "#ECR", "cache hit", "peak RSS MB");
   bench::print_rule(68);
@@ -188,6 +300,7 @@ int main(int argc, char** argv) {
     tier.ecrs = summary.total_ecrs();
     tier.cache = cache_stats(summary);
     tier.peak_rss_kb = peak_rss_kb();
+    searches.push_back(gp_searches(summary, options.campaign.gp));
     results.push_back(tier);
     std::printf("%-8zu %-10.3f %-8zu %-9zu %-7zu %-10s %-12.1f\n",
                 tier.cars, tier.wall_s, tier.cars_ok, tier.signals,
@@ -196,6 +309,29 @@ int main(int argc, char** argv) {
                                tier.cache.hits + tier.cache.misses)
                     .c_str(),
                 static_cast<double>(tier.peak_rss_kb) / 1024.0);
+  }
+
+  std::vector<GpReplay> replays;
+  for (const auto& tier_searches : searches) {
+    replays.push_back(replay(tier_searches));
+  }
+  bool replay_identical = true;
+  bool faults_ok = true;
+  std::printf("\nGP replay, one fresh thread per tier (bound: %.0f minor "
+              "faults per call%s)\n",
+              kMaxFaultsPerGpCall,
+              kSanitizedBuild ? ", not enforced in a sanitizer build" : "");
+  std::printf("%-8s %-9s %-12s %-10s\n", "cars", "GP calls", "faults/call",
+              "results");
+  bench::print_rule(42);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    results[i].replay = replays[i];
+    const auto& replay = replays[i];
+    replay_identical = replay_identical && replay.identical;
+    faults_ok = faults_ok && replay.faults_per_call() <= kMaxFaultsPerGpCall;
+    std::printf("%-8zu %-9zu %-12.2f %-10s\n", results[i].cars, replay.calls,
+                replay.faults_per_call(),
+                replay.identical ? "identical" : "DIFFER");
   }
 
   if (std::FILE* out = std::fopen("BENCH_scale.json", "w")) {
@@ -212,6 +348,12 @@ int main(int argc, char** argv) {
     std::fprintf(out, "  \"resume_identical\": %s,\n",
                  resume_identical ? "true" : "false");
     std::fprintf(out, "  \"checkpoint_files\": %zu,\n", checkpoint_files);
+    std::fprintf(out, "  \"gp_replay_identical\": %s,\n",
+                 replay_identical ? "true" : "false");
+    std::fprintf(out, "  \"gp_faults_per_call_bound\": %.1f,\n",
+                 kMaxFaultsPerGpCall);
+    std::fprintf(out, "  \"gp_fault_gate_enforced\": %s,\n",
+                 kSanitizedBuild ? "false" : "true");
     std::fprintf(out, "  \"tiers\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
       const auto& tier = results[i];
@@ -219,10 +361,13 @@ int main(int argc, char** argv) {
                    "    {\"cars\": %zu, \"wall_s\": %.6f, "
                    "\"cars_ok\": %zu, \"signals\": %zu, \"ecrs\": %zu, "
                    "\"cache_hits\": %zu, \"cache_misses\": %zu, "
-                   "\"cache_hit_rate\": %.4f, \"peak_rss_kb\": %ld}%s\n",
+                   "\"cache_hit_rate\": %.4f, \"peak_rss_kb\": %ld, "
+                   "\"gp_calls\": %zu, \"gp_minor_faults_per_call\": %.3f}"
+                   "%s\n",
                    tier.cars, tier.wall_s, tier.cars_ok, tier.signals,
                    tier.ecrs, tier.cache.hits, tier.cache.misses,
-                   tier.cache.rate(), tier.peak_rss_kb,
+                   tier.cache.rate(), tier.peak_rss_kb, tier.replay.calls,
+                   tier.replay.faults_per_call(),
                    i + 1 < results.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
@@ -230,7 +375,12 @@ int main(int argc, char** argv) {
     std::printf("\nwrote BENCH_scale.json\n");
   }
 
-  // Determinism is the hard requirement; wall clock and RSS are host
-  // facts, reported but never asserted.
-  return threads_identical && resume_identical ? 0 : 1;
+  // Determinism is the hard requirement, and a GP call must not page in
+  // fresh memory; wall clock and RSS are host facts, reported but never
+  // asserted.
+  const bool faults_gated = faults_ok || kSanitizedBuild;
+  return threads_identical && resume_identical && replay_identical &&
+                 faults_gated
+             ? 0
+             : 1;
 }

@@ -793,6 +793,14 @@ void Campaign::analyze_signals(std::vector<Association> associations) {
   }
 }
 
+gp::GpConfig signal_gp_config(const gp::GpConfig& base,
+                              const SignalFinding& finding) {
+  gp::GpConfig config = base;
+  config.seed ^= (static_cast<std::uint64_t>(finding.did) << 16) ^
+                 finding.local_id ^ (finding.esv_index << 8);
+  return config;
+}
+
 void Campaign::infer_signals() {
   if (!options_.run_inference) return;
 
@@ -806,13 +814,11 @@ void Campaign::infer_signals() {
     if (finding.is_enum) continue;
     gp::BatchJob job;
     job.dataset = &finding.dataset;
-    job.config = options_.gp;
+    job.config = signal_gp_config(options_.gp, finding);
     // The phase watchdog's token lets a deadline wind the GP loops down
     // promptly; an unarmed token never expires, so plain runs are
     // unaffected.
     job.config.cancel = &watchdog_.token();
-    job.config.seed ^= (static_cast<std::uint64_t>(finding.did) << 16) ^
-                       finding.local_id ^ (finding.esv_index << 8);
     jobs.push_back(job);
     targets.push_back(&finding);
   }

@@ -167,6 +167,11 @@ struct SignalFinding {
   bool polynomial_correct = false;
 };
 
+/// The GP configuration a campaign infers `finding` with: `base` with its
+/// seed perturbed per signal, so every signal searches its own stream.
+gp::GpConfig signal_gp_config(const gp::GpConfig& base,
+                              const SignalFinding& finding);
+
 /// Reverse-engineering outcome for one controllable component.
 struct EcrFinding {
   bool is_uds = false;            // 0x2F vs 0x30

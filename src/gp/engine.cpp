@@ -82,12 +82,70 @@ struct FitnessData {
 };
 
 /// Per-worker evaluation state: a reusable tape plus the batch buffers.
-/// One instance per chunk keeps the hot path allocation-free without any
-/// cross-thread sharing.
+/// Every use overwrites what it reads (analyze() before emit(), a fresh
+/// tape pass before its predictions), so it carries nothing between uses.
 struct WorkerScratch {
   Program program;
   EvalScratch eval;
 };
+
+/// One thread's GP working memory, kept for the thread's lifetime so that
+/// neither a generation nor an infer_formula call rebuilds it: the
+/// fitness cache of the run this thread drives (reset per run) and the
+/// scratch its chunk bodies score with. Once both have grown to the
+/// workload, a call allocates and page-faults nothing here.
+struct Workspace {
+  FitnessCache cache;
+  WorkerScratch scratch;
+  bool cache_held = false;
+  bool scratch_held = false;
+};
+
+Workspace& this_thread_workspace() {
+  thread_local Workspace workspace;
+  return workspace;
+}
+
+/// Borrows one member of this thread's Workspace for a scope. When a
+/// frame further up the same thread already holds it (a nested
+/// infer_formula), the borrower gets a private instance instead, so no
+/// two users ever share one.
+template <typename T>
+class Borrowed {
+ public:
+  Borrowed(T& shared, bool& held) {
+    if (held) {
+      item_ = &local_.emplace();
+    } else {
+      held = true;
+      held_ = &held;
+      item_ = &shared;
+    }
+  }
+  ~Borrowed() {
+    if (held_ != nullptr) *held_ = false;
+  }
+  Borrowed(const Borrowed&) = delete;
+  Borrowed& operator=(const Borrowed&) = delete;
+
+  T& operator*() const { return *item_; }
+  T* operator->() const { return item_; }
+
+ private:
+  std::optional<T> local_;
+  bool* held_ = nullptr;
+  T* item_ = nullptr;
+};
+
+Borrowed<FitnessCache> borrow_cache() {
+  Workspace& workspace = this_thread_workspace();
+  return {workspace.cache, workspace.cache_held};
+}
+
+Borrowed<WorkerScratch> borrow_scratch() {
+  Workspace& workspace = this_thread_workspace();
+  return {workspace.scratch, workspace.scratch_held};
+}
 
 /// Trimmed mean over `residuals` (partitioned in place): ignore the
 /// worst (1 - trim) fraction so surviving OCR outliers cannot steer the
@@ -517,7 +575,8 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
 
   // --- Fitness machinery ---------------------------------------------------
   // Tape mode mirrors the samples into a column-major matrix once and
-  // shares one structural fitness cache across every worker of this run.
+  // shares this thread's structural fitness cache across every worker of
+  // this run (reset below, once the initial population is known).
   FitnessData data;
   data.rows = &xs;
   data.ys = &ys;
@@ -526,8 +585,8 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   data.parsimony = config.parsimony;
   data.use_tape = config.use_tape;
   if (config.use_tape) data.matrix = SampleMatrix::from_rows(xs, n_vars);
-  FitnessCache cache(config.fitness_cache_capacity);
-  if (config.use_tape && config.fitness_cache) data.cache = &cache;
+  const auto cache = borrow_cache();
+  if (config.use_tape && config.fitness_cache) data.cache = &*cache;
 
   // --- Initial population ----------------------------------------------------
   util::Rng rng(config.seed);
@@ -556,21 +615,29 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     ind.expr = random_expr(rng, n_vars, depth, rng.chance(0.5));
     population.push_back(std::move(ind));
   }
+  // The run scores at most the initial population plus (population - 1)
+  // offspring per generation, so that many distinct shapes can reach the
+  // cache.
+  const std::size_t offspring =
+      config.population > 0 ? config.population - 1 : 0;
+  if (data.cache != nullptr) {
+    data.cache->reset(population.size() + offspring * config.max_generations);
+  }
   GpStageTimings timings;
   {
-    // Initial scoring, fanned over the pool in fixed-size chunks so each
-    // chunk reuses one scratch (tape + buffers) across its individuals.
-    // Per-chunk slots keep the accounting race-free.
+    // Initial scoring, fanned over the pool in fixed-size chunks; each
+    // chunk scores with its thread's scratch (tape + buffers). Per-chunk
+    // slots keep the accounting race-free.
     const std::size_t n = population.size();
     const std::size_t n_chunks = (n + kBreedChunk - 1) / kBreedChunk;
     std::vector<double> slot_s(n_chunks, 0.0);
     std::vector<std::size_t> slot_evals(n_chunks, 0);
     runner.chunks(n, n_chunks, [&](std::size_t c, std::size_t begin,
                                    std::size_t end) {
-      WorkerScratch scratch;
+      const auto scratch = borrow_scratch();
       const auto t0 = Clock::now();
       for (std::size_t i = begin; i < end; ++i) {
-        if (score(population[i], data, scratch)) ++slot_evals[c];
+        if (score(population[i], data, *scratch)) ++slot_evals[c];
       }
       slot_s[c] = seconds_since(t0);
     });
@@ -584,10 +651,10 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     std::vector<std::size_t> slot_evals(seed_count, 0);
     runner.chunks(seed_count, seed_count, [&](std::size_t, std::size_t begin,
                                               std::size_t end) {
-      WorkerScratch scratch;
+      const auto scratch = borrow_scratch();
       for (std::size_t i = begin; i < end; ++i) {
         const auto t0 = Clock::now();
-        slot_evals[i] = tune_constants(population[i], data, scratch);
+        slot_evals[i] = tune_constants(population[i], data, *scratch);
         slot_s[i] = seconds_since(t0);
       }
     });
@@ -618,8 +685,6 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     // the best-so-far instead of wedging a worker past its deadline.
     if (config.cancel != nullptr && config.cancel->expired()) break;
 
-    const std::size_t offspring =
-        config.population > 0 ? config.population - 1 : 0;
     const std::size_t n_chunks =
         std::max<std::size_t>(1, (offspring + kBreedChunk - 1) / kBreedChunk);
 
@@ -639,7 +704,7 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     runner.chunks(offspring, n_chunks, [&](std::size_t c, std::size_t begin,
                                            std::size_t end) {
       util::Rng& crng = chunk_rngs[c];
-      WorkerScratch scratch;
+      const auto scratch = borrow_scratch();
       for (std::size_t i = begin; i < end; ++i) {
         const auto t0 = Clock::now();
         const double roll = crng.uniform();
@@ -680,7 +745,7 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
         breed_s[c] += seconds_since(t0);
         if (fresh) {
           const auto s0 = Clock::now();
-          if (score(child, data, scratch)) ++chunk_evals[c];
+          if (score(child, data, *scratch)) ++chunk_evals[c];
           score_s[c] += seconds_since(s0);
         }
         next[1 + i] = std::move(child);
@@ -707,10 +772,10 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
       std::vector<std::size_t> tune_evals(top, 0);
       runner.chunks(top, top, [&](std::size_t, std::size_t begin,
                                   std::size_t end) {
-        WorkerScratch scratch;
+        const auto scratch = borrow_scratch();
         for (std::size_t k = begin; k < end; ++k) {
           const auto t0 = Clock::now();
-          tune_evals[k] = tune_constants(population[k], data, scratch);
+          tune_evals[k] = tune_constants(population[k], data, *scratch);
           tune_s[k] = seconds_since(t0);
         }
       });
@@ -732,8 +797,10 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   result.generations_run = generation;
   result.converged = best.fitness <= stop_below;
   timings.total_s = seconds_since(wall_start);
-  timings.cache_hits = static_cast<std::size_t>(cache.hits());
-  timings.cache_misses = static_cast<std::size_t>(cache.misses());
+  if (data.cache != nullptr) {
+    timings.cache_hits = static_cast<std::size_t>(data.cache->hits());
+    timings.cache_misses = static_cast<std::size_t>(data.cache->misses());
+  }
   result.timings = timings;
 
   // --- Table 2 post-processing: substitute the scale factors back ------------

@@ -53,8 +53,11 @@ struct GpConfig {
   /// tape matches an already-scored shape reuse that trimmed MAE instead
   /// of being rescored. Cached values are pure functions of the shape and
   /// the dataset, so the cache cannot change any result — only skip work.
+  /// The cache belongs to the calling thread and is reset, not rebuilt,
+  /// for each run; it is sized from the run's own bound on distinct
+  /// shapes (population + (population - 1) x max_generations), so a run
+  /// never evicts.
   bool fitness_cache = true;
-  std::size_t fitness_cache_capacity = 1 << 15;  // entries before eviction
   std::uint64_t seed = 0x6B5;
   /// Worker threads for fitness scoring, constant tuning and offspring
   /// breeding. 0 = hardware concurrency, 1 = fully serial. The evolved

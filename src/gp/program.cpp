@@ -270,14 +270,29 @@ void Program::append_key(std::string& out) const {
 
 void Program::structural_key(std::string& out) const { append_key(out); }
 
-FitnessCache::FitnessCache(std::size_t capacity)
-    : shard_capacity_(std::max<std::size_t>(1, capacity / kShards)) {
+void FitnessCache::reset(std::size_t max_keys) {
+  // A run's keys spread over the shards by hash; twice the even share
+  // plus slack is more than ten standard deviations above a shard's
+  // expected load, so a run within its bound does not evict.
+  shard_capacity_ = 2 * ((max_keys + kShards - 1) / kShards) + 16;
   // Power-of-two slot count at ≤ 0.5 max load, so linear probes always
   // terminate quickly.
   std::size_t slots = 2;
   while (slots < shard_capacity_ * 2) slots <<= 1;
-  slot_mask_ = slots - 1;
-  for (auto& shard : shards_) shard.slots.resize(slots);
+  for (auto& shard : shards_) {
+    clear(shard);
+    if (shard.slots.size() < slots) shard.slots.assign(slots, Slot{});
+  }
+  slot_mask_ = shards_[0].slots.size() - 1;
+  hits_.store(0, std::memory_order_relaxed);
+  misses_.store(0, std::memory_order_relaxed);
+  evictions_.store(0, std::memory_order_relaxed);
+}
+
+void FitnessCache::clear(Shard& shard) {
+  for (const std::uint32_t i : shard.used) shard.slots[i].hash = 0;
+  shard.used.clear();
+  shard.overflow.clear();
 }
 
 std::uint64_t FitnessCache::hash_key(const std::string& key) {
@@ -334,12 +349,10 @@ void FitnessCache::insert(const std::string& key, double fitness) {
   const std::uint64_t hash = hash_key(key);
   Shard& shard = shard_for(hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.count >= shard_capacity_) {
+  if (shard.used.size() >= shard_capacity_) {
     // Epoch eviction: drop the whole shard. Cached values are pure
     // functions of the key, so eviction affects hit rate, never results.
-    for (auto& slot : shard.slots) slot.hash = 0;
-    shard.overflow.clear();
-    shard.count = 0;
+    clear(shard);
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
   for (std::size_t i = hash & slot_mask_;; i = (i + 1) & slot_mask_) {
@@ -355,7 +368,7 @@ void FitnessCache::insert(const std::string& key, double fitness) {
         shard.overflow.push_back(key);
         std::memcpy(slot.key, &index, sizeof index);
       }
-      ++shard.count;
+      shard.used.push_back(static_cast<std::uint32_t>(i));
       return;
     }
     if (slot.hash == hash && slot_matches(shard, slot, key)) {

@@ -116,9 +116,9 @@ class AlignedBuffer {
   std::size_t capacity_ = 0;
 };
 
-/// Reusable buffers for batched evaluation. Owned by the caller (one per
-/// worker/chunk) so the hot loop never allocates once the buffers have
-/// grown to the workload's size.
+/// Reusable buffers for batched evaluation. Owned by the caller (the GP
+/// engine keeps one per thread) so the hot loop never allocates once the
+/// buffers have grown to the workload's size.
 struct EvalScratch {
   AlignedBuffer stack;              // stack_need padded column slots
   std::vector<double> predictions;  // one prediction per sample
@@ -245,6 +245,15 @@ class Program {
 /// is reached. Eviction is a deterministic epoch clear: a shard that
 /// reaches its capacity is emptied before the next insert.
 ///
+/// One cache serves many runs: each thread's GP workspace keeps one and
+/// reset() re-arms it for the next run instead of building a new one.
+/// reset(max_keys) sizes every shard so that a run inserting at most
+/// `max_keys` distinct keys never evicts (shard capacity is twice the
+/// even share plus slack), and clears only the slots the previous run
+/// filled, so a run costs memory traffic in proportion to what it
+/// inserts, not to the table size. Slot arrays only grow (watermark
+/// semantics, like AlignedBuffer).
+///
 /// Storage is an open-addressed slot array per shard (linear probing at
 /// ≤ 0.5 load, key hashed once per operation). A slot is one cache line
 /// with the key bytes stored inline — a probe never chases a string
@@ -253,7 +262,12 @@ class Program {
 /// decided on full key bytes, never the hash alone.
 class FitnessCache {
  public:
-  explicit FitnessCache(std::size_t capacity = 1 << 15);
+  explicit FitnessCache(std::size_t max_keys = 0) { reset(max_keys); }
+
+  /// Forget every entry and zero the counters, then size for a run of at
+  /// most `max_keys` distinct keys. Not thread-safe: call it before the
+  /// run's workers start.
+  void reset(std::size_t max_keys);
 
   std::optional<double> lookup(const std::string& key);
   void insert(const std::string& key, double fitness);
@@ -278,9 +292,10 @@ class FitnessCache {
   struct Shard {
     std::mutex mutex;
     std::vector<Slot> slots;  // power-of-two size, ≥ 2x shard capacity
+    std::vector<std::uint32_t> used;    // filled slot indices; size = count
     std::vector<std::string> overflow;  // keys longer than kInlineKey
-    std::size_t count = 0;
   };
+  static void clear(Shard& shard);
   static bool slot_matches(const Shard& shard, const Slot& slot,
                            const std::string& key);
   static std::uint64_t hash_key(const std::string& key);
@@ -289,8 +304,8 @@ class FitnessCache {
   }
 
   std::array<Shard, kShards> shards_;
-  std::size_t shard_capacity_;
-  std::size_t slot_mask_;
+  std::size_t shard_capacity_ = 1;
+  std::size_t slot_mask_ = 0;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};

@@ -11,12 +11,16 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <thread>
+#include <unordered_set>
 #include <utility>
 
+#include "gp/batch.hpp"
 #include "gp/engine.hpp"
 #include "gp/expr.hpp"
 #include "gp/kernels.hpp"
 #include "gp/program.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dpr::gp {
 namespace {
@@ -339,12 +343,91 @@ TEST(FitnessCache, HitReturnsInsertedValueAndCounts) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
+/// `count` distinct structural keys of random expressions: what a run
+/// actually inserts, so shard balance is tested on real key bytes.
+std::vector<std::string> distinct_shape_keys(std::size_t count,
+                                             std::uint64_t seed) {
+  util::Rng rng(seed);
+  Program program;
+  std::string key;
+  std::unordered_set<std::string> seen;
+  std::vector<std::string> keys;
+  while (keys.size() < count) {
+    const int depth = static_cast<int>(rng.uniform_int(2, 4));
+    program.analyze(random_expr(rng, 2, depth, rng.chance(0.5)), 2, &key);
+    if (seen.insert(key).second) keys.push_back(key);
+  }
+  return keys;
+}
+
 TEST(FitnessCache, BoundedByEpochEviction) {
-  FitnessCache cache(16);  // tiny: one entry per shard
+  FitnessCache cache;
+  cache.reset(16);  // sized for a 16-shape run; 1000 shapes overflow it
   for (int i = 0; i < 1000; ++i) {
     cache.insert("key" + std::to_string(i), static_cast<double>(i));
   }
   EXPECT_GT(cache.evictions(), 0u);
+  // An eviction empties the full shard, so the table stays bounded; the
+  // key inserted last is always still there.
+  EXPECT_TRUE(cache.lookup("key999").has_value());
+  std::size_t live = 0;
+  for (int i = 0; i < 1000; ++i) {
+    if (cache.lookup("key" + std::to_string(i))) ++live;
+  }
+  EXPECT_LT(live, 1000u);
+}
+
+TEST(FitnessCache, ResetForgetsEveryKeyAndCounter) {
+  // Short keys live inline in the slot, long ones in the overflow pool;
+  // a small bound forces evictions first, so reset() must also cope
+  // with shards that were already emptied once.
+  std::vector<std::string> keys;
+  for (int i = 0; i < 600; ++i) {
+    keys.push_back((i % 2 == 0 ? "k" : std::string(60, 'x')) +
+                   std::to_string(i));
+  }
+  FitnessCache cache(64);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    cache.insert(keys[i], static_cast<double>(i));
+    cache.lookup(keys[i]);
+    cache.lookup("absent" + keys[i]);
+  }
+  ASSERT_GT(cache.evictions(), 0u);
+  ASSERT_GT(cache.hits(), 0u);
+
+  cache.reset(64);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  for (const auto& key : keys) EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), keys.size());
+
+  // A reset to a larger run keeps working on the grown table.
+  cache.reset(4096);
+  cache.insert(keys[1], 2.5);
+  ASSERT_TRUE(cache.lookup(keys[1]).has_value());
+  EXPECT_EQ(*cache.lookup(keys[1]), 2.5);
+  EXPECT_FALSE(cache.lookup(keys[0]).has_value());
+}
+
+TEST(FitnessCache, RunBoundNeverEvicts) {
+  // A run scores at most population + (population - 1) x generations
+  // distinct shapes; a cache reset to that bound must hold them all.
+  // Table 6 runs pop 1000 x 30 generations, the fleet benchmark pop 64.
+  for (const std::size_t population : {std::size_t{1000}, std::size_t{64}}) {
+    const std::size_t bound = population + (population - 1) * 30;
+    const auto keys = distinct_shape_keys(bound, population);
+    FitnessCache cache(8);  // start small: reset() must grow it
+    cache.reset(bound);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      cache.insert(keys[i], static_cast<double>(i));
+    }
+    EXPECT_EQ(cache.evictions(), 0u) << "population " << population;
+    std::size_t found = 0;
+    for (const auto& key : keys) found += cache.lookup(key).has_value();
+    EXPECT_EQ(found, keys.size()) << "population " << population;
+  }
 }
 
 // --- Tape vs tree through the full engine -----------------------------------
@@ -475,6 +558,92 @@ TEST(TapeEngine, CacheDeterministicAcrossThreadCounts) {
     } else {
       EXPECT_EQ(signature, reference) << threads << " threads";
     }
+  }
+}
+
+// --- Per-thread workspace reuse across calls ---------------------------------
+
+std::optional<GpResult> infer_on_fresh_thread(const correlate::Dataset& data,
+                                              const GpConfig& config) {
+  std::optional<GpResult> result;
+  std::thread([&] { result = infer_formula(data, config); }).join();
+  return result;
+}
+
+/// A result must not depend on what its thread ran before. At one GP
+/// thread every field is deterministic, cache traffic included. With
+/// intra-GP workers the hit/miss split races (two workers can both miss
+/// a shape neither has inserted yet), so there only the lookup total and
+/// the non-cache evaluations (constant tuning) must match.
+void expect_same_run(const GpResult& got, const GpResult& want,
+                     bool exact_cache_split, const std::string& where) {
+  EXPECT_EQ(got.formula, want.formula) << where;
+  EXPECT_EQ(bits(got.fitness), bits(want.fitness)) << where;
+  EXPECT_EQ(got.generations_run, want.generations_run) << where;
+  EXPECT_EQ(got.converged, want.converged) << where;
+  const auto& g = got.timings;
+  const auto& w = want.timings;
+  EXPECT_EQ(g.cache_hits + g.cache_misses, w.cache_hits + w.cache_misses)
+      << where;
+  EXPECT_EQ(g.evaluations - g.cache_misses, w.evaluations - w.cache_misses)
+      << where;
+  if (exact_cache_split) {
+    EXPECT_EQ(g.evaluations, w.evaluations) << where;
+    EXPECT_EQ(g.cache_hits, w.cache_hits) << where;
+    EXPECT_EQ(g.cache_misses, w.cache_misses) << where;
+  }
+}
+
+TEST(Workspace, SecondCallOnAThreadMatchesAFreshThread) {
+  // A and B share n_vars and seed, so their initial random populations
+  // have identical shapes: a cache that kept A's entries would hand B
+  // fitness values from the wrong dataset. A is also the larger run, so
+  // B reuses a table grown past its own size.
+  const auto a = synthetic_dataset(61, 2);
+  const auto b = synthetic_dataset(62, 2);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    GpConfig config_b;
+    config_b.population = 96;
+    config_b.max_generations = 12;
+    config_b.n_threads = threads;
+    GpConfig config_a = config_b;
+    config_a.population = 160;
+
+    const auto fresh = infer_on_fresh_thread(b, config_b);
+    std::optional<GpResult> reused;
+    std::thread([&] {
+      ASSERT_TRUE(infer_formula(a, config_a).has_value());
+      reused = infer_formula(b, config_b);
+    }).join();
+    ASSERT_TRUE(fresh && reused);
+    EXPECT_GT(fresh->timings.cache_hits, 0u);
+    expect_same_run(*reused, *fresh, threads == 1,
+                    std::to_string(threads) + " threads");
+  }
+}
+
+TEST(Workspace, BatchOnSharedPoolMatchesFreshThreads) {
+  // Pool workers run job after job, each on a workspace the previous
+  // job left behind; every job must still match its own fresh run.
+  std::vector<correlate::Dataset> datasets;
+  for (std::uint64_t seed = 70; seed < 78; ++seed) {
+    datasets.push_back(synthetic_dataset(seed, 1 + seed % 2));
+  }
+  std::vector<BatchJob> jobs;
+  for (std::size_t i = 0; i < datasets.size(); ++i) {
+    BatchJob job;
+    job.dataset = &datasets[i];
+    job.config.population = i % 2 == 0 ? 64 : 128;
+    job.config.max_generations = 10;
+    jobs.push_back(job);
+  }
+  util::ThreadPool pool(2);
+  const auto results = BatchRunner(pool).run(jobs);
+  ASSERT_EQ(results.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto fresh = infer_on_fresh_thread(*jobs[i].dataset, jobs[i].config);
+    ASSERT_TRUE(fresh && results[i]);
+    expect_same_run(*results[i], *fresh, true, "job " + std::to_string(i));
   }
 }
 
