@@ -35,6 +35,12 @@ struct AblationRow {
   double constant_collapse = 0; // % runs degenerating to a constant
 };
 
+bool has_variable(const gp::Node* node) {
+  return node->op == gp::Op::kVar ||
+         (node->lhs && has_variable(node->lhs.get())) ||
+         (node->rhs && has_variable(node->rhs.get()));
+}
+
 AblationRow recovery_rate(double scale, bool use_scaling) {
   util::Rng rng(0xAB1A7E);
   int correct = 0;
@@ -55,11 +61,7 @@ AblationRow recovery_rate(double scale, bool use_scaling) {
     if (gp::mean_relative_error(*result, dataset, truth) < 0.03) ++correct;
     // "GP will directly set a constant value as the formula" — the
     // failure mode Table 2 exists to prevent.
-    bool has_variable = false;
-    for (const auto* node : const_cast<gp::Expr&>(result->best).nodes()) {
-      if (node->op == gp::Op::kVar) has_variable = true;
-    }
-    if (!has_variable) ++collapsed;
+    if (!has_variable(result->best.root())) ++collapsed;
   }
   return AblationRow{100.0 * correct / trials, 100.0 * collapsed / trials};
 }

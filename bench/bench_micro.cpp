@@ -107,7 +107,10 @@ void BM_GpProgramEvalBatch(benchmark::State& state) {
     points.push_back({rng.uniform(0, 255), rng.uniform(0, 255)});
   }
   const auto matrix = gp::SampleMatrix::from_rows(points, 2);
-  const auto program = gp::Program::compile(expr, 2);
+  gp::Genes genes;
+  gp::flatten(expr, 2, genes);
+  gp::Program program;
+  program.lower(genes);
   gp::EvalScratch scratch;
   for (auto _ : state) {
     program.eval_batch(matrix, scratch);
@@ -161,24 +164,27 @@ BENCHMARK(BM_GpKernelOp)
     ->Args({static_cast<int>(gp::Op::kSqrt), 0})
     ->Args({static_cast<int>(gp::Op::kSqrt), 1});
 
-void BM_GpProgramCompile(benchmark::State& state) {
-  // Per-offspring lowering cost: recompile into warm buffers, the way
+void BM_GpProgramLower(benchmark::State& state) {
+  // Per-offspring lowering cost: lower genomes into warm buffers, the way
   // each worker's scratch program is reused across a scoring chunk.
   util::Rng rng(3);
-  std::vector<gp::Expr> exprs;
+  gp::Genes genes;
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
   for (int i = 0; i < 64; ++i) {
-    exprs.push_back(gp::random_expr(rng, 2, 4, false));
+    const std::size_t start = genes.size();
+    gp::random_genome(rng, 2, 4, false, genes);
+    ranges.emplace_back(start, genes.size() - start);
   }
   gp::Program program;
   for (auto _ : state) {
-    for (const auto& expr : exprs) {
-      program.recompile(expr, 2);
+    for (const auto& [start, bytes] : ranges) {
+      program.lower({genes.data() + start, bytes});
       benchmark::DoNotOptimize(program.size());
     }
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_GpProgramCompile);
+BENCHMARK(BM_GpProgramLower);
 
 void BM_GpInferAffine(benchmark::State& state) {
   correlate::Dataset dataset;

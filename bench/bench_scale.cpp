@@ -21,6 +21,15 @@
 // whenever the heap layout lets it. The fault gate is skipped in
 // sanitizer builds, whose shadow memory faults on its own.
 //
+// GP-call allocation gate: the same replay counts the heap allocations
+// each gp::infer_formula call makes (this binary replaces the global
+// operator new with one that counts per thread), and a call may make at
+// most kMaxAllocsPerGpCall on average. A search that allocates per node
+// or per offspring costs thousands; the set-up a call needs (scaled
+// samples, least-squares solves, the result) costs about a hundred. Like
+// the fault gate, it is skipped in sanitizer builds, which keep their own
+// allocator.
+//
 // Flags (all optional, for CI smoke runs on small machines):
 //   --max-cars N    cap the largest tier (default 1024)
 //   --threads N     fleet threads for the timed runs (default 0 = all)
@@ -35,11 +44,13 @@
 #endif
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <filesystem>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,23 +60,42 @@
 #include "gp/engine.hpp"
 #include "vehicle/generator.hpp"
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DPR_SANITIZED_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DPR_SANITIZED_BUILD 1
+#endif
+#endif
+#ifndef DPR_SANITIZED_BUILD
+#define DPR_SANITIZED_BUILD 0
+#endif
+
 namespace {
 
 using namespace dpr;
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitizedBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitizedBuild = true;
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
+constexpr bool kSanitizedBuild = DPR_SANITIZED_BUILD;
 
 constexpr double kMaxFaultsPerGpCall = 64.0;
+constexpr double kMaxAllocsPerGpCall = 400.0;
+
+/// Heap allocations made by this thread, counted by the replacement
+/// operator new below.
+thread_local std::uint64_t t_allocations = 0;
+
+void* counted_alloc(std::size_t size, std::size_t align) {
+  ++t_allocations;
+  void* p = nullptr;
+  if (size == 0) size = 1;
+  if (align <= alignof(std::max_align_t)) {
+    p = std::malloc(size);
+  } else if (posix_memalign(&p, align, size) != 0) {
+    p = nullptr;
+  }
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
 
 long minor_faults_this_thread() {
   struct rusage usage {};
@@ -126,18 +156,23 @@ std::vector<GpSearch> gp_searches(const core::FleetSummary& summary,
 struct GpReplay {
   std::size_t calls = 0;
   long minor_faults = 0;
+  std::uint64_t allocations = 0;
   bool identical = true;
+  double per_call(double total) const {
+    return calls == 0 ? 0.0 : total / static_cast<double>(calls);
+  }
   double faults_per_call() const {
-    return calls == 0 ? 0.0
-                      : static_cast<double>(minor_faults) /
-                            static_cast<double>(calls);
+    return per_call(static_cast<double>(minor_faults));
+  }
+  double allocs_per_call() const {
+    return per_call(static_cast<double>(allocations));
   }
 };
 
 /// Re-run `searches` on a fresh thread, like one of the fleet's pool
-/// workers, counting the minor page faults inside the infer_formula calls
-/// only. The first call warms the thread's GP workspace; that one-time
-/// cost is part of the per-call figure.
+/// workers, counting the minor page faults and heap allocations inside
+/// the infer_formula calls only. The first call warms the thread's GP
+/// workspace; that one-time cost is part of the per-call figures.
 ///
 /// Left alone, the allocator serves a call from memory an earlier call
 /// freed, and whether that memory is still mapped depends on heap layout:
@@ -158,7 +193,9 @@ GpReplay replay(const std::vector<GpSearch>& searches) {
         malloc_trim(0);
 #endif
         const long before = minor_faults_this_thread();
+        const std::uint64_t allocations_before = t_allocations;
         const auto result = gp::infer_formula(search.dataset, search.config);
+        out.allocations += t_allocations - allocations_before;
         out.minor_faults += minor_faults_this_thread() - before;
         ++out.calls;
         if (!result || result->formula != search.formula ||
@@ -183,6 +220,51 @@ std::size_t count_checkpoints(const std::string& dir) {
 }
 
 }  // namespace
+
+// Global allocation functions for this binary: count, then allocate. Not
+// installed in sanitizer builds, whose runtime provides its own.
+#if !DPR_SANITIZED_BUILD
+void* operator new(std::size_t size) {
+  return counted_alloc(size, alignof(std::max_align_t));
+}
+void* operator new[](std::size_t size) {
+  return counted_alloc(size, alignof(std::max_align_t));
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, static_cast<std::size_t>(align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size, alignof(std::max_align_t));
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return operator new(size, std::nothrow);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#endif
 
 int main(int argc, char** argv) {
   std::size_t max_cars = 1024;
@@ -317,20 +399,23 @@ int main(int argc, char** argv) {
   }
   bool replay_identical = true;
   bool faults_ok = true;
-  std::printf("\nGP replay, one fresh thread per tier (bound: %.0f minor "
-              "faults per call%s)\n",
-              kMaxFaultsPerGpCall,
+  bool allocs_ok = true;
+  std::printf("\nGP replay, one fresh thread per tier (bounds: %.0f minor "
+              "faults and %.0f allocations per call%s)\n",
+              kMaxFaultsPerGpCall, kMaxAllocsPerGpCall,
               kSanitizedBuild ? ", not enforced in a sanitizer build" : "");
-  std::printf("%-8s %-9s %-12s %-10s\n", "cars", "GP calls", "faults/call",
-              "results");
-  bench::print_rule(42);
+  std::printf("%-8s %-9s %-12s %-12s %-10s\n", "cars", "GP calls",
+              "faults/call", "allocs/call", "results");
+  bench::print_rule(55);
   for (std::size_t i = 0; i < results.size(); ++i) {
     results[i].replay = replays[i];
     const auto& replay = replays[i];
     replay_identical = replay_identical && replay.identical;
     faults_ok = faults_ok && replay.faults_per_call() <= kMaxFaultsPerGpCall;
-    std::printf("%-8zu %-9zu %-12.2f %-10s\n", results[i].cars, replay.calls,
-                replay.faults_per_call(),
+    allocs_ok = allocs_ok && replay.allocs_per_call() <= kMaxAllocsPerGpCall;
+    std::printf("%-8zu %-9zu %-12.2f %-12.1f %-10s\n", results[i].cars,
+                replay.calls, replay.faults_per_call(),
+                replay.allocs_per_call(),
                 replay.identical ? "identical" : "DIFFER");
   }
 
@@ -354,6 +439,10 @@ int main(int argc, char** argv) {
                  kMaxFaultsPerGpCall);
     std::fprintf(out, "  \"gp_fault_gate_enforced\": %s,\n",
                  kSanitizedBuild ? "false" : "true");
+    std::fprintf(out, "  \"gp_allocs_per_call_bound\": %.1f,\n",
+                 kMaxAllocsPerGpCall);
+    std::fprintf(out, "  \"gp_alloc_gate_enforced\": %s,\n",
+                 kSanitizedBuild ? "false" : "true");
     std::fprintf(out, "  \"tiers\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
       const auto& tier = results[i];
@@ -362,12 +451,13 @@ int main(int argc, char** argv) {
                    "\"cars_ok\": %zu, \"signals\": %zu, \"ecrs\": %zu, "
                    "\"cache_hits\": %zu, \"cache_misses\": %zu, "
                    "\"cache_hit_rate\": %.4f, \"peak_rss_kb\": %ld, "
-                   "\"gp_calls\": %zu, \"gp_minor_faults_per_call\": %.3f}"
-                   "%s\n",
+                   "\"gp_calls\": %zu, \"gp_minor_faults_per_call\": %.3f, "
+                   "\"gp_allocs_per_call\": %.1f}%s\n",
                    tier.cars, tier.wall_s, tier.cars_ok, tier.signals,
                    tier.ecrs, tier.cache.hits, tier.cache.misses,
                    tier.cache.rate(), tier.peak_rss_kb, tier.replay.calls,
                    tier.replay.faults_per_call(),
+                   tier.replay.allocs_per_call(),
                    i + 1 < results.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
@@ -375,12 +465,12 @@ int main(int argc, char** argv) {
     std::printf("\nwrote BENCH_scale.json\n");
   }
 
-  // Determinism is the hard requirement, and a GP call must not page in
-  // fresh memory; wall clock and RSS are host facts, reported but never
-  // asserted.
-  const bool faults_gated = faults_ok || kSanitizedBuild;
+  // Determinism is the hard requirement, and a GP call must neither page
+  // in fresh memory nor allocate per node; wall clock and RSS are host
+  // facts, reported but never asserted.
+  const bool memory_gated = (faults_ok && allocs_ok) || kSanitizedBuild;
   return threads_identical && resume_identical && replay_identical &&
-                 faults_gated
+                 memory_gated
              ? 0
              : 1;
 }

@@ -5,7 +5,10 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string_view>
 
+#include "gp/genome.hpp"
 #include "gp/program.hpp"
 #include "regress/regress.hpp"
 #include "util/thread_pool.hpp"
@@ -36,9 +39,9 @@ class Runner {
     }
   }
 
-  void chunks(std::size_t n, std::size_t n_chunks,
-              const std::function<void(std::size_t, std::size_t,
-                                       std::size_t)>& body) {
+  /// Calls body(chunk, begin, end) for `n_chunks` even slices of [0, n).
+  template <typename Body>
+  void chunks(std::size_t n, std::size_t n_chunks, const Body& body) {
     if (n == 0 || n_chunks == 0) return;
     n_chunks = std::min(n_chunks, n);
     if (pool_) {
@@ -50,54 +53,97 @@ class Runner {
     }
   }
 
-  void for_each(std::size_t n,
-                const std::function<void(std::size_t)>& body) {
-    chunks(n, n, [&body](std::size_t, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) body(i);
-    });
-  }
-
  private:
   std::unique_ptr<util::ThreadPool> pool_;
 };
 
+/// One program of a generation. Its genes are bytes [offset, offset +
+/// bytes) of one buffer of the generation's arena; `genes` points at them
+/// once that buffer is complete.
 struct Individual {
-  Expr expr;
+  std::uint8_t* genes = nullptr;
+  std::uint32_t offset = 0;
+  std::uint32_t bytes = 0;
+  std::uint32_t nodes = 0;
   double fitness = 1e300;    // raw MAE
   double penalized = 1e300;  // MAE + parsimony
+  bool fresh = false;        // bred this generation and not yet scored
+
+  GenomeView view() const { return {{genes, bytes}, nodes}; }
+  /// The fitness-cache key: the packed genes themselves.
+  std::string_view key() const {
+    return {reinterpret_cast<const char*>(genes), bytes};
+  }
+  void place(std::size_t start, std::size_t end, std::size_t node_count) {
+    offset = static_cast<std::uint32_t>(start);
+    bytes = static_cast<std::uint32_t>(end - start);
+    nodes = static_cast<std::uint32_t>(node_count);
+  }
 };
 
-/// Everything fitness evaluation reads, fixed for one infer_formula run.
-/// `rows` is the row-major dataset (legacy walker + OLS seeds); `matrix`
-/// mirrors it column-major for the tape interpreter's streaming loops.
+bool fitter(const Individual& a, const Individual& b) {
+  return a.penalized < b.penalized;
+}
+
+/// A generation's genes: one buffer per breeding chunk, so chunks write
+/// their offspring concurrently without sharing a buffer. Buffers keep
+/// their capacity from generation to generation and call to call.
+using Arena = std::vector<Genes>;
+
+void reset(Arena& arena, std::size_t n_buffers) {
+  if (arena.size() < n_buffers) arena.resize(n_buffers);
+  for (auto& genes : arena) genes.clear();
+}
+
+/// Everything fitness evaluation reads, fixed for one infer_formula run:
+/// the scaled samples column-major, their targets, and the cache.
 struct FitnessData {
-  const std::vector<std::vector<double>>* rows = nullptr;
-  const std::vector<double>* ys = nullptr;
   SampleMatrix matrix;
-  std::size_t n_vars = 1;
+  std::vector<double> ys;
   double trim_fraction = 0.9;
   double parsimony = 0.0;
-  bool use_tape = true;
-  FitnessCache* cache = nullptr;  // tape mode only; null = disabled
+  FitnessCache* cache = nullptr;  // null = disabled
 };
 
 /// Per-worker evaluation state: a reusable tape plus the batch buffers.
-/// Every use overwrites what it reads (analyze() before emit(), a fresh
-/// tape pass before its predictions), so it carries nothing between uses.
+/// Every use overwrites what it reads (lower() before a tape pass, a
+/// fresh pass before its predictions), so it carries nothing between uses.
 struct WorkerScratch {
   Program program;
   EvalScratch eval;
 };
 
-/// One thread's GP working memory, kept for the thread's lifetime so that
-/// neither a generation nor an infer_formula call rebuilds it: the
-/// fitness cache of the run this thread drives (reset per run) and the
-/// scratch its chunk bodies score with. Once both have grown to the
-/// workload, a call allocates and page-faults nothing here.
-struct Workspace {
+/// One chunk's share of a stage: CPU-seconds breeding, CPU-seconds
+/// scoring or tuning, and the evaluations it ran.
+struct Tally {
+  double breeding_s = 0.0;
+  double work_s = 0.0;
+  std::size_t evaluations = 0;
+};
+
+/// What a run keeps for its whole length: the fitness cache, the two
+/// generation arenas (the population's and its offspring's), the
+/// population vectors, the champion's genes and the per-chunk
+/// bookkeeping. None of it carries meaning from one run to the next.
+struct RunMemory {
   FitnessCache cache;
+  Arena arenas[2];
+  std::vector<Individual> population;
+  std::vector<Individual> next;
+  Genes best;
+  std::vector<util::Rng> chunk_rngs;
+  std::vector<Tally> tallies;
+};
+
+/// One thread's GP working memory, kept for the thread's lifetime so that
+/// neither a generation nor an infer_formula call rebuilds it: the run
+/// memory of the run this thread drives and the scratch its chunk bodies
+/// score with. Once both have grown to the workload, a call allocates and
+/// page-faults nothing here.
+struct Workspace {
+  RunMemory run;
   WorkerScratch scratch;
-  bool cache_held = false;
+  bool run_held = false;
   bool scratch_held = false;
 };
 
@@ -137,9 +183,9 @@ class Borrowed {
   T* item_ = nullptr;
 };
 
-Borrowed<FitnessCache> borrow_cache() {
+Borrowed<RunMemory> borrow_run() {
   Workspace& workspace = this_thread_workspace();
-  return {workspace.cache, workspace.cache_held};
+  return {workspace.run, workspace.run_held};
 }
 
 Borrowed<WorkerScratch> borrow_scratch() {
@@ -162,72 +208,38 @@ double trimmed_mean(std::vector<double>& residuals, double trim_fraction) {
   return total / static_cast<double>(keep);
 }
 
-/// Reference path: recursive tree walk, one sample at a time.
-double tree_mae(const Expr& expr, const FitnessData& data,
-                EvalScratch& scratch) {
-  const auto& xs = *data.rows;
-  const auto& ys = *data.ys;
-  auto& residuals = scratch.residuals;
-  residuals.clear();
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double predicted = expr.eval(xs[i]);
-    if (!std::isfinite(predicted)) return 1e300;
-    residuals.push_back(std::abs(predicted - ys[i]));
-  }
-  return trimmed_mean(residuals, data.trim_fraction);
-}
-
-/// Fast path: one batched tape pass over the column-major samples. The
-/// per-sample arithmetic order matches tree_mae exactly, so the two
-/// paths return bit-identical doubles.
+/// Trimmed MAE of the lowered program: one batched tape pass over the
+/// column-major samples.
 double tape_mae(const Program& program, const FitnessData& data,
                 EvalScratch& scratch) {
   program.eval_batch(data.matrix, scratch);
-  const auto& ys = *data.ys;
   auto& residuals = scratch.residuals;
   residuals.clear();
   for (std::size_t i = 0; i < scratch.predictions.size(); ++i) {
     const double predicted = scratch.predictions[i];
     if (!std::isfinite(predicted)) return 1e300;
-    residuals.push_back(std::abs(predicted - ys[i]));
+    residuals.push_back(std::abs(predicted - data.ys[i]));
   }
   return trimmed_mean(residuals, data.trim_fraction);
 }
 
 /// Score an individual. Returns true when a fresh evaluation ran, false
-/// when the structural cache already knew this shape's fitness (the
-/// cached value is what the evaluation would have produced, so hit/miss
-/// patterns can never change the evolution).
+/// when the cache already knew this program's fitness (the cached value
+/// is what the evaluation would have produced, so hit/miss patterns can
+/// never change the evolution). A hit needs only the genome's bytes; the
+/// tape is lowered only when the fitness has to be computed.
 bool score(Individual& ind, const FitnessData& data, WorkerScratch& scratch) {
-  if (!data.use_tape) {
-    ind.fitness = tree_mae(ind.expr, data, scratch.eval);
-    ind.penalized =
-        ind.fitness + data.parsimony * static_cast<double>(ind.expr.size());
-    return true;
-  }
-  // Two-stage lowering keeps the cache hit path minimal: analyze() walks
-  // the tree once and serializes the probe key; the tape itself is
-  // emitted only when the fitness actually has to be computed.
-  bool evaluated = true;
-  if (data.cache != nullptr) {
-    scratch.program.analyze(ind.expr, data.n_vars, &scratch.eval.key);
-    if (const auto cached = data.cache->lookup(scratch.eval.key)) {
-      ind.fitness = *cached;
-      evaluated = false;
-    } else {
-      scratch.program.emit();
-      ind.fitness = tape_mae(scratch.program, data, scratch.eval);
-      data.cache->insert(scratch.eval.key, ind.fitness);
-    }
+  const auto cached =
+      data.cache != nullptr ? data.cache->lookup(ind.key()) : std::nullopt;
+  if (cached) {
+    ind.fitness = *cached;
   } else {
-    scratch.program.recompile(ind.expr, data.n_vars);
+    scratch.program.lower(ind.view().genes);
     ind.fitness = tape_mae(scratch.program, data, scratch.eval);
+    if (data.cache != nullptr) data.cache->insert(ind.key(), ind.fitness);
   }
-  // Program::size() is the node count, so the parsimony term needs no
-  // extra tree walk.
-  ind.penalized = ind.fitness + data.parsimony *
-                                    static_cast<double>(scratch.program.size());
-  return evaluated;
+  ind.penalized = ind.fitness + data.parsimony * ind.nodes;
+  return !cached;
 }
 
 const Individual& tournament(const std::vector<Individual>& pop,
@@ -243,125 +255,34 @@ const Individual& tournament(const std::vector<Individual>& pop,
   return *best;
 }
 
-/// Swap a random subtree of `a` with a random subtree of `b`. Returns
-/// nullopt when the offspring exceeds the depth bound — the caller keeps
-/// the parent *and its already-known fitness* instead of rescoring.
-std::optional<Expr> crossover(const Expr& a, const Expr& b, util::Rng& rng,
-                              int max_depth) {
-  Expr child = a;
-  auto child_nodes = child.nodes();
-  Expr donor = b;
-  auto donor_nodes = donor.nodes();
-  Node* target = child_nodes[static_cast<std::size_t>(rng.uniform_int(
-      0, static_cast<std::int64_t>(child_nodes.size()) - 1))];
-  const Node* source = donor_nodes[static_cast<std::size_t>(rng.uniform_int(
-      0, static_cast<std::int64_t>(donor_nodes.size()) - 1))];
-  auto cloned = source->clone();
-  *target = std::move(*cloned);
-  if (child.depth() > max_depth) return std::nullopt;  // oversized
-  return child;
-}
-
-std::optional<Expr> subtree_mutation(const Expr& a, util::Rng& rng,
-                                     std::size_t n_vars, int max_depth) {
-  Expr child = a;
-  auto nodes = child.nodes();
-  Node* target = nodes[static_cast<std::size_t>(rng.uniform_int(
-      0, static_cast<std::int64_t>(nodes.size()) - 1))];
-  Expr replacement = random_expr(rng, n_vars, 2, false);
-  auto cloned = replacement.root()->clone();
-  *target = std::move(*cloned);
-  if (child.depth() > max_depth) return std::nullopt;
-  return child;
-}
-
-/// Returns nullopt when no node was mutated (the parent's fitness still
-/// holds).
-std::optional<Expr> point_mutation(const Expr& a, util::Rng& rng,
-                                   std::size_t n_vars) {
-  Expr child = a;
-  bool mutated = false;
-  for (Node* node : child.nodes()) {
-    if (!rng.chance(0.15)) continue;
-    mutated = true;
-    switch (arity(node->op)) {
-      case 0:
-        if (node->op == Op::kConst) {
-          // Gaussian constant perturbation.
-          node->value += rng.normal(0.0, 0.3 + 0.1 * std::abs(node->value));
-        } else if (n_vars > 1) {
-          node->var = static_cast<int>(
-              rng.uniform_int(0, static_cast<std::int64_t>(n_vars) - 1));
-        }
-        break;
-      case 1: {
-        static const Op unary[] = {Op::kSqrt, Op::kLog, Op::kAbs, Op::kNeg,
-                                   Op::kSin, Op::kCos, Op::kTan, Op::kInv};
-        node->op = unary[rng.uniform_int(0, std::size(unary) - 1)];
-        break;
-      }
-      case 2: {
-        static const Op binary[] = {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv,
-                                    Op::kMin, Op::kMax};
-        node->op = binary[rng.uniform_int(0, std::size(binary) - 1)];
-        break;
-      }
-    }
-  }
-  if (!mutated) return std::nullopt;
-  return child;
-}
-
 /// Coordinate-descent refinement of an individual's constants — part of
 /// the "improved" GP: evolution finds the shape, refinement nails the
 /// coefficients. Returns the number of MAE evaluations performed. The
-/// tape path compiles once and patches the constant pool in lockstep
-/// with the tree nodes, so the line search never recompiles; the visit
-/// order (pre-order constants, identical step schedule) matches the
-/// legacy walker step for step.
+/// program is lowered once; the line search patches its constant pool,
+/// whose entry k is the genome's k-th constant gene, and the tuned values
+/// are written back into the genes at the end.
 std::size_t tune_constants(Individual& ind, const FitnessData& data,
                            WorkerScratch& scratch) {
-  auto constants = ind.expr.constant_nodes();
-  if (constants.empty()) return 0;
-  std::vector<std::size_t> pool_index;
-  if (data.use_tape) {
-    scratch.program.recompile(ind.expr, data.n_vars);
-    // Map each pre-order tree constant to its pool slot (the pool is in
-    // postfix order); constant counts are tiny, linear scan is fine.
-    pool_index.assign(constants.size(), 0);
-    for (std::size_t k = 0; k < constants.size(); ++k) {
-      for (std::size_t j = 0; j < scratch.program.n_constants(); ++j) {
-        if (scratch.program.const_node(j) == constants[k]) {
-          pool_index[k] = j;
-          break;
-        }
-      }
-    }
-  }
-  const auto current_mae = [&data, &ind, &scratch]() {
-    return data.use_tape ? tape_mae(scratch.program, data, scratch.eval)
-                         : tree_mae(ind.expr, data, scratch.eval);
-  };
-  const auto nudge = [&](std::size_t k, double delta) {
-    constants[k]->value += delta;
-    if (data.use_tape) {
-      scratch.program.set_constant(pool_index[k], constants[k]->value);
-    }
+  Program& program = scratch.program;
+  program.lower(ind.view().genes);
+  const std::size_t n_constants = program.n_constants();
+  if (n_constants == 0) return 0;
+  const auto nudge = [&program](std::size_t k, double delta) {
+    program.set_constant(k, program.constant(k) + delta);
   };
   std::size_t evaluations = 0;
   bool improved_any = true;
   for (int pass = 0; improved_any && pass < 6; ++pass) {
     improved_any = false;
-    for (std::size_t k = 0; k < constants.size(); ++k) {
-      const double magnitude =
-          std::max(0.001, std::abs(constants[k]->value));
+    for (std::size_t k = 0; k < n_constants; ++k) {
+      const double magnitude = std::max(0.001, std::abs(program.constant(k)));
       for (double step : {magnitude, magnitude * 0.1, magnitude * 0.01,
                           magnitude * 0.001}) {
         for (double direction : {+1.0, -1.0}) {
           // Line search: keep stepping while the fit keeps improving.
           for (int walk = 0; walk < 64; ++walk) {
             nudge(k, direction * step);
-            const double mae = current_mae();
+            const double mae = tape_mae(program, data, scratch.eval);
             ++evaluations;
             if (mae + 1e-15 < ind.fitness) {
               ind.fitness = mae;
@@ -375,68 +296,91 @@ std::size_t tune_constants(Individual& ind, const FitnessData& data,
       }
     }
   }
-  ind.penalized =
-      ind.fitness + data.parsimony * static_cast<double>(ind.expr.size());
+  std::size_t k = 0;
+  for (std::size_t at = 0; at < ind.bytes;) {
+    std::uint8_t* gene = ind.genes + at;
+    at += gene_bytes(gene_op(gene));
+    if (gene_op(gene) == Op::kConst) {
+      set_gene_value(gene, program.constant(k++));
+    }
+  }
+  ind.penalized = ind.fitness + data.parsimony * ind.nodes;
   return evaluations;
+}
+
+/// Appends one seed written in prefix: '+' and '*' are functions, 'c' a
+/// constant, 'v' the variable `var` and a digit the variable of that
+/// index. Constants are drawn last to first: the order the tree-building
+/// code that first defined these seeds drew them in (GCC evaluated its
+/// nested call arguments right to left), which keeps every seed, and so
+/// every search, unchanged.
+void add_seed(std::string_view pattern, int var, util::Rng& rng,
+              Genes& out) {
+  std::size_t constants[4];
+  std::size_t n = 0;
+  for (const char symbol : pattern) {
+    if (symbol == 'c') {
+      constants[n++] = out.size();
+      append_const(out, 0.0);
+    } else if (symbol == '+' || symbol == '*') {
+      append_op(out, symbol == '+' ? Op::kAdd : Op::kMul);
+    } else {
+      append_var(out, symbol == 'v' ? var : symbol - '0');
+    }
+  }
+  while (n > 0) set_gene_value(&out[constants[--n]], rng.uniform(-5.0, 5.0));
 }
 
 /// Affine / product seed templates (improved-GP ingredient): cheap
 /// skeletons matching the shapes manufacturer formulas overwhelmingly
 /// take. Evolution is free to discard them.
-std::vector<Expr> seed_templates(util::Rng& rng, std::size_t n_vars) {
-  std::vector<Expr> seeds;
-  auto c = [&rng] { return Expr::constant(rng.uniform(-5.0, 5.0)); };
+void seed_templates(util::Rng& rng, std::size_t n_vars, Genes& out) {
   for (std::size_t v = 0; v < n_vars; ++v) {
-    seeds.push_back(Expr::variable(static_cast<int>(v)));
-    seeds.push_back(Expr::binary(Op::kMul, c(),
-                                 Expr::variable(static_cast<int>(v))));
-    seeds.push_back(Expr::binary(
-        Op::kAdd,
-        Expr::binary(Op::kMul, c(), Expr::variable(static_cast<int>(v))),
-        c()));
+    for (const char* affine : {"v", "*cv", "+*cvc"}) {
+      add_seed(affine, static_cast<int>(v), rng, out);
+    }
   }
   if (n_vars >= 2) {
-    seeds.push_back(Expr::binary(Op::kMul, Expr::variable(0),
-                                 Expr::variable(1)));
-    seeds.push_back(Expr::binary(
-        Op::kMul, c(),
-        Expr::binary(Op::kMul, Expr::variable(0), Expr::variable(1))));
-    seeds.push_back(Expr::binary(
-        Op::kAdd, Expr::binary(Op::kMul, c(), Expr::variable(0)),
-        Expr::binary(Op::kMul, c(), Expr::variable(1))));
-    seeds.push_back(Expr::binary(
-        Op::kAdd,
-        Expr::binary(Op::kAdd, Expr::binary(Op::kMul, c(),
-                                            Expr::variable(0)),
-                     Expr::binary(Op::kMul, c(), Expr::variable(1))),
-        c()));
+    for (const char* product : {"*01", "*c*01", "+*c0*c1", "++*c0*c1c"}) {
+      add_seed(product, 0, rng, out);
+    }
   }
-  // Quadratic skeleton.
-  seeds.push_back(Expr::binary(
-      Op::kMul, c(), Expr::binary(Op::kMul, Expr::variable(0),
-                                  Expr::variable(0))));
-  return seeds;
+  add_seed("*c*00", 0, rng, out);  // quadratic skeleton
 }
 
 /// Ordinary-least-squares seeds (improved-GP ingredient): solve the
 /// affine and degree-2 bases directly on the (scaled) data and inject the
 /// solutions into the initial population. Evolution keeps them only if
 /// they actually fit — nonlinear targets still require search.
-std::vector<Expr> least_squares_seeds(
-    const std::vector<std::vector<double>>& xs,
-    const std::vector<double>& ys, std::size_t n_vars) {
-  std::vector<Expr> seeds;
-  auto emit = [&seeds](const std::vector<double>& coeffs,
-                       const std::vector<Expr>& basis) {
-    Expr sum = Expr::constant(coeffs[0]);
-    for (std::size_t i = 1; i < coeffs.size() && i - 1 < basis.size();
-         ++i) {
-      if (std::abs(coeffs[i]) < 1e-12) continue;
-      sum = Expr::binary(Op::kAdd, std::move(sum),
-                         Expr::binary(Op::kMul, Expr::constant(coeffs[i]),
-                                      basis[i - 1]));
+void least_squares_seeds(const FitnessData& data, Genes& out) {
+  const SampleMatrix& xs = data.matrix;
+  const std::vector<double>& ys = data.ys;
+  const std::size_t n_vars = xs.n_vars();
+  // A basis term: X_i alone (j < 0) or the product X_i * X_j.
+  struct Term {
+    int i;
+    int j;
+  };
+  // c0 + c1*b1 + c2*b2 + ... as a left-nested chain of additions; in
+  // prefix, one '+' per kept term, then c0, then '* c_i b_i' per term.
+  const auto emit = [&out](const std::vector<double>& coeffs,
+                           const std::vector<Term>& basis) {
+    const std::size_t n_terms = std::min(coeffs.size() - 1, basis.size());
+    const auto kept = [&coeffs](std::size_t t) {
+      return !(std::abs(coeffs[t + 1]) < 1e-12);
+    };
+    for (std::size_t t = 0; t < n_terms; ++t) {
+      if (kept(t)) append_op(out, Op::kAdd);
     }
-    seeds.push_back(std::move(sum));
+    append_const(out, coeffs[0]);
+    for (std::size_t t = 0; t < n_terms; ++t) {
+      if (!kept(t)) continue;
+      append_op(out, Op::kMul);
+      append_const(out, coeffs[t + 1]);
+      if (basis[t].j >= 0) append_op(out, Op::kMul);
+      append_var(out, basis[t].i);
+      if (basis[t].j >= 0) append_var(out, basis[t].j);
+    }
   };
 
   // Solve, then re-solve once excluding gross-residual rows (OCR
@@ -479,49 +423,30 @@ std::vector<Expr> least_squares_seeds(
     return solutions;
   };
 
-  // Affine basis: X0 (, X1).
-  {
-    std::vector<std::vector<double>> rows;
-    rows.reserve(xs.size());
-    for (const auto& x : xs) {
-      std::vector<double> row{1.0};
-      row.insert(row.end(), x.begin(), x.end());
-      rows.push_back(std::move(row));
-    }
-    std::vector<Expr> basis;
-    for (std::size_t v = 0; v < n_vars; ++v) {
-      basis.push_back(Expr::variable(static_cast<int>(v)));
-    }
-    for (const auto& sol : solve_robust(rows)) emit(sol, basis);
+  // Affine basis X0 (, X1), then degree 2: X0 (, X1), X0^2, X0*X1, X1^2.
+  std::vector<Term> basis;
+  for (std::size_t v = 0; v < n_vars; ++v) {
+    basis.push_back({static_cast<int>(v), -1});
   }
-  // Degree-2 basis: X0 (, X1), X0^2, X0*X1, X1^2.
-  {
-    std::vector<std::vector<double>> rows;
-    std::vector<Expr> basis;
-    for (std::size_t v = 0; v < n_vars; ++v) {
-      basis.push_back(Expr::variable(static_cast<int>(v)));
-    }
-    for (std::size_t i = 0; i < n_vars; ++i) {
-      for (std::size_t j = i; j < n_vars; ++j) {
-        basis.push_back(Expr::binary(Op::kMul,
-                                     Expr::variable(static_cast<int>(i)),
-                                     Expr::variable(static_cast<int>(j))));
-      }
-    }
-    rows.reserve(xs.size());
-    for (const auto& x : xs) {
-      std::vector<double> row{1.0};
-      row.insert(row.end(), x.begin(), x.end());
+  for (const bool degree2 : {false, true}) {
+    if (degree2) {
       for (std::size_t i = 0; i < n_vars; ++i) {
         for (std::size_t j = i; j < n_vars; ++j) {
-          row.push_back(x[i] * x[j]);
+          basis.push_back({static_cast<int>(i), static_cast<int>(j)});
         }
       }
-      rows.push_back(std::move(row));
+    }
+    std::vector<std::vector<double>> rows(xs.n_samples());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      rows[r].reserve(basis.size() + 1);
+      rows[r].push_back(1.0);
+      for (const Term& term : basis) {
+        rows[r].push_back(term.j < 0 ? xs.at(r, term.i)
+                                     : xs.at(r, term.i) * xs.at(r, term.j));
+      }
     }
     for (const auto& sol : solve_robust(rows)) emit(sol, basis);
   }
-  return seeds;
 }
 
 }  // namespace
@@ -540,6 +465,9 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
                                       const GpConfig& config) {
   if (dataset.points.size() < 6) return std::nullopt;
   const std::size_t n_vars = dataset.n_vars;
+  if (n_vars == 0 || n_vars > kMaxVars) {
+    throw std::invalid_argument("gp: a dataset needs 1 to 256 operands");
+  }
   const auto wall_start = Clock::now();
   Runner runner(config.n_threads);
 
@@ -560,121 +488,122 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     result.y_scale = choose_scale(targets, /*allow_enlarge=*/true);
   }
 
-  std::vector<std::vector<double>> xs;
-  std::vector<double> ys;
-  xs.reserve(dataset.points.size());
-  ys.reserve(dataset.points.size());
-  for (const auto& p : dataset.points) {
-    std::vector<double> row(n_vars);
-    for (std::size_t v = 0; v < n_vars; ++v) {
-      row[v] = p.xs[v] / result.x_scales[v].factor;
-    }
-    xs.push_back(std::move(row));
-    ys.push_back(p.y / result.y_scale.factor);
-  }
-
   // --- Fitness machinery ---------------------------------------------------
-  // Tape mode mirrors the samples into a column-major matrix once and
-  // shares this thread's structural fitness cache across every worker of
-  // this run (reset below, once the initial population is known).
+  // The scaled samples, column-major for the tape, and this thread's run
+  // memory: the fitness cache shared by every worker of this run (reset
+  // below, once the initial population is known) and the arenas.
   FitnessData data;
-  data.rows = &xs;
-  data.ys = &ys;
-  data.n_vars = n_vars;
+  data.matrix = SampleMatrix(dataset.points.size(), n_vars);
+  data.ys.reserve(dataset.points.size());
+  for (std::size_t i = 0; i < dataset.points.size(); ++i) {
+    const auto& p = dataset.points[i];
+    for (std::size_t v = 0; v < n_vars; ++v) {
+      data.matrix.at(i, v) = p.xs[v] / result.x_scales[v].factor;
+    }
+    data.ys.push_back(p.y / result.y_scale.factor);
+  }
   data.trim_fraction = config.trim_fraction;
   data.parsimony = config.parsimony;
-  data.use_tape = config.use_tape;
-  if (config.use_tape) data.matrix = SampleMatrix::from_rows(xs, n_vars);
-  const auto cache = borrow_cache();
-  if (config.use_tape && config.fitness_cache) data.cache = &*cache;
+  const auto memory = borrow_run();
+  RunMemory& run = *memory;
+  if (config.fitness_cache) data.cache = &run.cache;
 
   // --- Initial population ----------------------------------------------------
+  // Seeds, then random programs, written straight into the first arena.
   util::Rng rng(config.seed);
-  std::vector<Individual> population;
-  population.reserve(config.population);
-  if (config.seed_templates) {
-    for (auto& seed : seed_templates(rng, n_vars)) {
-      Individual ind;
-      ind.expr = std::move(seed);
-      population.push_back(std::move(ind));
-    }
-  }
-  if (config.seed_least_squares) {
-    for (auto& seed : least_squares_seeds(xs, ys, n_vars)) {
-      Individual ind;
-      ind.expr = std::move(seed);
-      population.push_back(std::move(ind));
-    }
+  std::vector<Individual>& population = run.population;
+  std::vector<Individual>& next = run.next;
+  population.clear();
+  reset(run.arenas[0], 1);
+  Genes& genes = run.arenas[0][0];
+  if (config.seed_templates) seed_templates(rng, n_vars, genes);
+  if (config.seed_least_squares) least_squares_seeds(data, genes);
+  for (std::size_t at = 0; at < genes.size();) {
+    const Extent seed = subtree(genes, at);
+    population.emplace_back().place(at, seed.end, seed.nodes);
+    at = seed.end;
   }
   const std::size_t seed_count = population.size();
   while (population.size() < config.population) {
     // Ramped half-and-half.
     const int depth = static_cast<int>(rng.uniform_int(
         config.init_depth_min, config.init_depth_max));
-    Individual ind;
-    ind.expr = random_expr(rng, n_vars, depth, rng.chance(0.5));
-    population.push_back(std::move(ind));
+    const bool full = rng.chance(0.5);
+    const std::size_t start = genes.size();
+    const std::size_t nodes = random_genome(rng, n_vars, depth, full, genes);
+    population.emplace_back().place(start, genes.size(), nodes);
   }
+  if (population.empty()) return std::nullopt;
+  for (Individual& ind : population) ind.genes = genes.data() + ind.offset;
+
   // The run scores at most the initial population plus (population - 1)
-  // offspring per generation, so that many distinct shapes can reach the
-  // cache.
+  // offspring per generation, so that many distinct programs can reach
+  // the cache.
   const std::size_t offspring =
       config.population > 0 ? config.population - 1 : 0;
   if (data.cache != nullptr) {
     data.cache->reset(population.size() + offspring * config.max_generations);
   }
   GpStageTimings timings;
+  const auto add_tallies = [&run, &timings](double GpStageTimings::*work) {
+    for (const Tally& tally : run.tallies) {
+      timings.breeding_s += tally.breeding_s;
+      timings.*work += tally.work_s;
+      timings.evaluations += tally.evaluations;
+    }
+  };
   {
     // Initial scoring, fanned over the pool in fixed-size chunks; each
     // chunk scores with its thread's scratch (tape + buffers). Per-chunk
-    // slots keep the accounting race-free.
+    // tallies keep the accounting race-free.
     const std::size_t n = population.size();
     const std::size_t n_chunks = (n + kBreedChunk - 1) / kBreedChunk;
-    std::vector<double> slot_s(n_chunks, 0.0);
-    std::vector<std::size_t> slot_evals(n_chunks, 0);
+    run.tallies.assign(n_chunks, Tally{});
     runner.chunks(n, n_chunks, [&](std::size_t c, std::size_t begin,
                                    std::size_t end) {
       const auto scratch = borrow_scratch();
+      Tally& tally = run.tallies[c];
       const auto t0 = Clock::now();
       for (std::size_t i = begin; i < end; ++i) {
-        if (score(population[i], data, *scratch)) ++slot_evals[c];
+        if (score(population[i], data, *scratch)) ++tally.evaluations;
       }
-      slot_s[c] = seconds_since(t0);
+      tally.work_s = seconds_since(t0);
     });
-    for (double s : slot_s) timings.scoring_s += s;
-    for (std::size_t e : slot_evals) timings.evaluations += e;
+    add_tallies(&GpStageTimings::scoring_s);
   }
-  if (config.constant_tuning && seed_count > 0) {
-    // Refine the seed skeletons once up front: the template *shapes* are
-    // right, their random constants are not.
-    std::vector<double> slot_s(seed_count, 0.0);
-    std::vector<std::size_t> slot_evals(seed_count, 0);
-    runner.chunks(seed_count, seed_count, [&](std::size_t, std::size_t begin,
-                                              std::size_t end) {
+  // Coordinate-descent tuning of population[0, n), one task each.
+  const auto tune_first = [&](std::size_t n) {
+    run.tallies.assign(n, Tally{});
+    runner.chunks(n, n, [&](std::size_t, std::size_t begin, std::size_t end) {
       const auto scratch = borrow_scratch();
-      for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t k = begin; k < end; ++k) {
         const auto t0 = Clock::now();
-        slot_evals[i] = tune_constants(population[i], data, *scratch);
-        slot_s[i] = seconds_since(t0);
+        run.tallies[k].evaluations =
+            tune_constants(population[k], data, *scratch);
+        run.tallies[k].work_s = seconds_since(t0);
       }
     });
-    for (double s : slot_s) timings.tuning_s += s;
-    for (std::size_t e : slot_evals) timings.evaluations += e;
-  }
+    add_tallies(&GpStageTimings::tuning_s);
+  };
+  // Refine the seed skeletons once up front: the template *shapes* are
+  // right, their random constants are not.
+  if (config.constant_tuning) tune_first(seed_count);
 
-  auto best_it = std::min_element(
-      population.begin(), population.end(),
-      [](const Individual& a, const Individual& b) {
-        return a.penalized < b.penalized;
-      });
-  Individual best = *best_it;
+  // The champion keeps its own copy of its genes.
+  Individual best;
+  const auto promote = [&run, &best](const Individual& champion) {
+    best = champion;
+    run.best.assign(champion.genes, champion.genes + champion.bytes);
+    best.genes = run.best.data();
+  };
+  promote(*std::min_element(population.begin(), population.end(), fitter));
 
   // --- Evolution ---------------------------------------------------------------
   // Absolute form of stopping criterion (ii), anchored to the scaled
   // target's magnitude.
   double mean_abs_y = 0.0;
-  for (double y : ys) mean_abs_y += std::abs(y);
-  mean_abs_y /= static_cast<double>(ys.size());
+  for (double y : data.ys) mean_abs_y += std::abs(y);
+  mean_abs_y /= static_cast<double>(data.ys.size());
   const double stop_below =
       config.fitness_threshold * std::max(1e-6, mean_abs_y);
 
@@ -692,71 +621,69 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     // the stream a chunk sees is a function of (seed, generation, chunk)
     // only, so any worker may run any chunk and the evolved population is
     // still bit-identical for every n_threads.
-    std::vector<util::Rng> chunk_rngs;
-    chunk_rngs.reserve(n_chunks);
-    for (std::size_t c = 0; c < n_chunks; ++c) chunk_rngs.push_back(rng.fork());
+    run.chunk_rngs.clear();
+    for (std::size_t c = 0; c < n_chunks; ++c) {
+      run.chunk_rngs.push_back(rng.fork());
+    }
 
-    std::vector<Individual> next(std::max<std::size_t>(1, config.population));
-    next[0] = best;  // elitism: cached fitness, never rescored
+    // Offspring chunk c writes buffer c of the other arena; the last
+    // buffer holds the elite, whose fitness carries over unscored.
+    Arena& arena = run.arenas[(generation + 1) % 2];
+    reset(arena, n_chunks + 1);
+    next.assign(std::max<std::size_t>(1, config.population), Individual{});
+    copy_genome(best.view(), arena[n_chunks]);
+    next[0] = best;
+    next[0].genes = arena[n_chunks].data();
 
-    std::vector<double> breed_s(n_chunks, 0.0), score_s(n_chunks, 0.0);
-    std::vector<std::size_t> chunk_evals(n_chunks, 0);
+    // Each chunk breeds all its children, then scores the fresh ones
+    // (scoring draws nothing, so the draws are those of breeding alone).
+    run.tallies.assign(n_chunks, Tally{});
     runner.chunks(offspring, n_chunks, [&](std::size_t c, std::size_t begin,
                                            std::size_t end) {
-      util::Rng& crng = chunk_rngs[c];
-      const auto scratch = borrow_scratch();
+      util::Rng& crng = run.chunk_rngs[c];
+      Genes& out = arena[c];
+      Tally& tally = run.tallies[c];
+      const std::size_t k = config.tournament;
+      const auto t0 = Clock::now();
       for (std::size_t i = begin; i < end; ++i) {
-        const auto t0 = Clock::now();
         const double roll = crng.uniform();
-        Individual child;
-        bool fresh = false;  // does the child need scoring?
+        const std::size_t start = out.size();
+        // Every operator starts from one tournament winner.
+        const Individual& parent = tournament(population, crng, k);
+        Bred bred;
         if (roll < config.crossover_rate) {
-          const Individual& pa = tournament(population, crng, config.tournament);
-          const Individual& pb = tournament(population, crng, config.tournament);
-          if (auto expr = crossover(pa.expr, pb.expr, crng, config.max_depth)) {
-            child.expr = std::move(*expr);
-            fresh = true;
-          } else {
-            child = pa;  // rejected oversize: parent's fitness carries over
-          }
+          const Individual& donor = tournament(population, crng, k);
+          bred = crossover(parent.view(), donor.view(), crng,
+                           config.max_depth, out);
         } else if (roll <
                    config.crossover_rate + config.subtree_mutation_rate) {
-          const Individual& pa = tournament(population, crng, config.tournament);
-          if (auto expr =
-                  subtree_mutation(pa.expr, crng, n_vars, config.max_depth)) {
-            child.expr = std::move(*expr);
-            fresh = true;
-          } else {
-            child = pa;
-          }
+          bred = subtree_mutation(parent.view(), crng, n_vars,
+                                  config.max_depth, out);
         } else if (roll < config.crossover_rate +
                               config.subtree_mutation_rate +
                               config.point_mutation_rate) {
-          const Individual& pa = tournament(population, crng, config.tournament);
-          if (auto expr = point_mutation(pa.expr, crng, n_vars)) {
-            child.expr = std::move(*expr);
-            fresh = true;
-          } else {
-            child = pa;  // no site mutated: fitness unchanged
-          }
+          bred = point_mutation(parent.view(), crng, n_vars, out);
         } else {
-          child = tournament(population, crng, config.tournament);  // reproduce
+          bred = copy_genome(parent.view(), out);  // reproduce
         }
-        breed_s[c] += seconds_since(t0);
-        if (fresh) {
-          const auto s0 = Clock::now();
-          if (score(child, data, *scratch)) ++chunk_evals[c];
-          score_s[c] += seconds_since(s0);
-        }
-        next[1 + i] = std::move(child);
+        // A child that is not fresh keeps its parent's fitness.
+        Individual& child = next[1 + i];
+        child = parent;
+        child.place(start, out.size(), bred.nodes);
+        child.fresh = bred.fresh;
       }
+      const auto t1 = Clock::now();
+      tally.breeding_s = std::chrono::duration<double>(t1 - t0).count();
+      const auto scratch = borrow_scratch();
+      for (std::size_t i = begin; i < end; ++i) {
+        Individual& child = next[1 + i];
+        child.genes = out.data() + child.offset;
+        if (child.fresh && score(child, data, *scratch)) ++tally.evaluations;
+      }
+      tally.work_s = seconds_since(t1);
     });
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      timings.breeding_s += breed_s[c];
-      timings.scoring_s += score_s[c];
-      timings.evaluations += chunk_evals[c];
-    }
-    population = std::move(next);
+    add_tallies(&GpStageTimings::scoring_s);
+    population.swap(next);
 
     // Refine the constants of the few fittest individuals, then promote
     // the overall champion.
@@ -764,35 +691,16 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
       const std::size_t top = std::min<std::size_t>(3, population.size());
       std::partial_sort(population.begin(),
                         population.begin() + static_cast<std::ptrdiff_t>(top),
-                        population.end(),
-                        [](const Individual& a, const Individual& b) {
-                          return a.penalized < b.penalized;
-                        });
-      std::vector<double> tune_s(top, 0.0);
-      std::vector<std::size_t> tune_evals(top, 0);
-      runner.chunks(top, top, [&](std::size_t, std::size_t begin,
-                                  std::size_t end) {
-        const auto scratch = borrow_scratch();
-        for (std::size_t k = begin; k < end; ++k) {
-          const auto t0 = Clock::now();
-          tune_evals[k] = tune_constants(population[k], data, *scratch);
-          tune_s[k] = seconds_since(t0);
-        }
-      });
-      for (std::size_t k = 0; k < top; ++k) {
-        timings.tuning_s += tune_s[k];
-        timings.evaluations += tune_evals[k];
-      }
+                        population.end(), fitter);
+      tune_first(top);
     }
-    auto it = std::min_element(population.begin(), population.end(),
-                               [](const Individual& a, const Individual& b) {
-                                 return a.penalized < b.penalized;
-                               });
-    if (it->penalized < best.penalized) best = *it;
+    const auto it =
+        std::min_element(population.begin(), population.end(), fitter);
+    if (it->penalized < best.penalized) promote(*it);
   }
 
-  best.expr.simplify();
-  result.best = best.expr;
+  result.best = to_expr(best.view().genes);
+  result.best.simplify();
   result.fitness = best.fitness;
   result.generations_run = generation;
   result.converged = best.fitness <= stop_below;

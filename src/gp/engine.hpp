@@ -42,21 +42,14 @@ struct GpConfig {
   bool seed_least_squares = true;     // OLS-initialized affine/poly seeds
   bool constant_tuning = true;        // per-generation constant refinement
   bool use_scaling = true;            // Table 2 pre/post processing
-  /// Score fitness by compiling each expression to a gp::Program postfix
-  /// tape executed over a column-major gp::SampleMatrix (one dispatch per
-  /// node per *population batch* instead of per node per sample). The
-  /// tape replays the tree evaluator's operation order exactly, so every
-  /// result is bit-identical to the legacy walker; `false` keeps the
-  /// recursive Expr::eval path as the equivalence/ablation reference.
-  bool use_tape = true;
-  /// Structural fitness cache (tape mode only): offspring whose canonical
-  /// tape matches an already-scored shape reuse that trimmed MAE instead
-  /// of being rescored. Cached values are pure functions of the shape and
-  /// the dataset, so the cache cannot change any result — only skip work.
+  /// Structural fitness cache: offspring whose genome matches an
+  /// already-scored program reuse that trimmed MAE instead of being
+  /// rescored. Cached values are pure functions of the program and the
+  /// dataset, so the cache cannot change any result — only skip work.
   /// The cache belongs to the calling thread and is reset, not rebuilt,
   /// for each run; it is sized from the run's own bound on distinct
-  /// shapes (population + (population - 1) x max_generations), so a run
-  /// never evicts.
+  /// programs (population + (population - 1) x max_generations), so a
+  /// run never evicts.
   bool fitness_cache = true;
   std::uint64_t seed = 0x6B5;
   /// Worker threads for fitness scoring, constant tuning and offspring
@@ -79,9 +72,9 @@ struct GpStageTimings {
   double breeding_s = 0.0;  // selection + crossover/mutation
   double total_s = 0.0;     // wall clock, end to end
   std::size_t evaluations = 0;  // trimmed-MAE evaluations performed
-  /// Structural-cache traffic during offspring scoring (tape mode only;
-  /// a hit replaces one evaluation). Observational, like the stage
-  /// timings: excluded from report signatures.
+  /// Structural-cache traffic during offspring scoring (a hit replaces
+  /// one evaluation). Observational, like the stage timings: excluded
+  /// from report signatures.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
 };
@@ -102,7 +95,10 @@ struct GpResult {
 };
 
 /// Run symbolic regression on an aligned dataset. Returns nullopt when
-/// the dataset is too small to constrain a formula.
+/// the dataset is too small to constrain a formula, or when the
+/// configuration leaves the initial population empty (population 0 and
+/// no seeds). Throws std::invalid_argument for a dataset without operands
+/// or with more than kMaxVars.
 std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
                                       const GpConfig& config = {});
 

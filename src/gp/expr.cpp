@@ -257,20 +257,6 @@ void simplify_node(std::unique_ptr<Node>& node) {
   }
 }
 
-void collect_nodes(Node* node, std::vector<Node*>& out) {
-  // Iterative pre-order (rhs pushed first so lhs pops first) — the same
-  // node order the old recursion produced, which crossover/mutation site
-  // selection depends on for deterministic replay.
-  std::vector<Node*> stack{node};
-  while (!stack.empty()) {
-    Node* cur = stack.back();
-    stack.pop_back();
-    out.push_back(cur);
-    if (cur->rhs) stack.push_back(cur->rhs.get());
-    if (cur->lhs) stack.push_back(cur->lhs.get());
-  }
-}
-
 }  // namespace
 
 double Expr::eval(std::span<const double> vars) const {
@@ -286,66 +272,5 @@ std::string Expr::to_string(std::size_t n_vars) const {
 }
 
 void Expr::simplify() { simplify_node(root_); }
-
-std::vector<Node*> Expr::nodes() {
-  std::vector<Node*> out;
-  collect_nodes(root_.get(), out);
-  return out;
-}
-
-std::vector<Node*> Expr::constant_nodes() {
-  std::vector<Node*> out;
-  for (Node* node : nodes()) {
-    if (node->op == Op::kConst) out.push_back(node);
-  }
-  return out;
-}
-
-namespace {
-
-Op random_function(util::Rng& rng) {
-  // Arithmetic-weighted function choice: real ECU formulas are mostly
-  // affine/products, but the full 14-function set stays reachable.
-  static const Op weighted[] = {
-      Op::kAdd, Op::kAdd, Op::kAdd, Op::kSub, Op::kSub, Op::kMul, Op::kMul,
-      Op::kMul, Op::kDiv, Op::kDiv, Op::kSqrt, Op::kLog, Op::kAbs,
-      Op::kNeg, Op::kMin, Op::kMax, Op::kSin, Op::kCos, Op::kTan,
-      Op::kInv};
-  return weighted[rng.uniform_int(0, std::size(weighted) - 1)];
-}
-
-std::unique_ptr<Node> random_node(util::Rng& rng, std::size_t n_vars,
-                                  int depth, bool full) {
-  const bool make_leaf =
-      depth <= 0 || (!full && rng.chance(0.3));
-  auto node = std::make_unique<Node>();
-  if (make_leaf) {
-    if (rng.chance(0.6)) {
-      node->op = Op::kVar;
-      node->var = static_cast<int>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n_vars) - 1));
-    } else {
-      node->op = Op::kConst;
-      node->value = rng.uniform(-10.0, 10.0);
-    }
-    return node;
-  }
-  node->op = random_function(rng);
-  node->lhs = random_node(rng, n_vars, depth - 1, full);
-  if (arity(node->op) == 2) {
-    node->rhs = random_node(rng, n_vars, depth - 1, full);
-  }
-  return node;
-}
-
-}  // namespace
-
-Expr random_expr(util::Rng& rng, std::size_t n_vars, int depth, bool full) {
-  // Generation recurses once per level; cap the requested depth so a
-  // pathological argument cannot overflow the C stack (full trees also
-  // double per level, hence the tighter bound).
-  depth = std::min(depth, full ? kMaxFullDepth : kMaxGrowDepth);
-  return Expr(random_node(rng, n_vars, depth, full));
-}
 
 }  // namespace dpr::gp

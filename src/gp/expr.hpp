@@ -1,7 +1,10 @@
 #pragma once
 // Expression trees for genetic-programming symbolic regression (§3.5):
 // interior nodes are functions, leaves are variables or constants. The
-// function set matches the paper's 14 supported functions (§6): addition,
+// search itself breeds flat genomes (gp/genome.hpp); a tree is the form
+// of its result — simplified, printed, checkpointed — and Expr::eval is
+// the reference semantics every faster evaluator must match bit for bit.
+// The function set matches the paper's 14 supported functions (§6): addition,
 // subtraction, multiplication, division, square root, log, absolute
 // value, negation, maximum, minimum, sine, cosine, tangent, inverse.
 
@@ -10,8 +13,6 @@
 #include <span>
 #include <string>
 #include <vector>
-
-#include "util/rng.hpp"
 
 namespace dpr::gp {
 
@@ -109,20 +110,8 @@ class Expr {
   Node* root() { return root_.get(); }
   const Node* root() const { return root_.get(); }
 
-  /// Pointers to every node (pre-order); used by crossover/mutation.
-  std::vector<Node*> nodes();
-  std::vector<Node*> constant_nodes();
-
  private:
   std::unique_ptr<Node> root_;
 };
-
-/// Random tree generation ("grow" when `full` is false) up to `depth`.
-/// The requested depth is clamped to kMaxGrowDepth (grow) or
-/// kMaxFullDepth (full trees double per level, so the cap also bounds
-/// the node count) — generation can never recurse past either.
-inline constexpr int kMaxGrowDepth = 64;
-inline constexpr int kMaxFullDepth = 16;
-Expr random_expr(util::Rng& rng, std::size_t n_vars, int depth, bool full);
 
 }  // namespace dpr::gp

@@ -40,108 +40,60 @@ SampleMatrix SampleMatrix::from_rows(
   return matrix;
 }
 
-Program Program::compile(const Expr& expr, std::size_t n_vars) {
-  Program program;
-  program.recompile(expr, n_vars);
-  return program;
-}
-
-namespace {
-
-inline void append_raw(std::string& out, const void* data,
-                       std::size_t bytes) {
-  out.append(static_cast<const char*>(data), bytes);
-}
-
-}  // namespace
-
-void Program::analyze(const Expr& expr, std::size_t n_vars,
-                      std::string* key) {
-  // Iterative traversal "node, rhs subtree, lhs subtree", reversed at the
-  // end: that yields lhs, rhs, node — the completion order of the
-  // recursive evaluator — so the tape replays Expr::eval's operation
-  // sequence bit for bit. Everything emit() and the key serializer need
-  // is captured into contiguous records; the heap-scattered tree is
-  // walked exactly once.
-  recs_.clear();
-  dfs_.clear();
-  dfs_.push_back(expr.root());
-  while (!dfs_.empty()) {
-    const Node* node = dfs_.back();
-    dfs_.pop_back();
-    if (node->op == Op::kVar &&
-        (node->var < 0 || static_cast<std::size_t>(node->var) >= n_vars)) {
-      throw std::invalid_argument(
-          "gp: variable index out of range for this dataset");
-    }
-    recs_.push_back({node, node->op, node->var, node->value});
-    if (node->lhs) dfs_.push_back(node->lhs.get());
-    if (node->rhs) dfs_.push_back(node->rhs.get());
-  }
-  std::reverse(recs_.begin(), recs_.end());
-  if (key != nullptr) append_key(*key);
-}
-
-void Program::emit() {
+void Program::lower(std::span<const std::uint8_t> genes) {
   code_.clear();
   constants_.clear();
-  const_nodes_.clear();
-  vstack_.clear();
+  frames_.clear();
+  nodes_ = 0;
   stack_need_ = 0;
 
-  // Simulate the operand stack over the postfix records. Leaves push a
-  // descriptor (variable column / constant-pool slot) without emitting
-  // anything; operators consume descriptors and emit one fused
-  // instruction whose result occupies stack column `depth`. Live stack
-  // operands always sit in columns 0..depth-1, so dense slot assignment
-  // never clobbers a live value (an instruction may write the column it
-  // reads — element i is fully read before element i is written).
+  // Read the genome in pre-order, keeping each function open until its
+  // operands are lowered: a leaf becomes an operand descriptor (variable
+  // column / constant-pool slot) without emitting anything, and a
+  // function whose last operand arrives emits one fused instruction whose
+  // result occupies stack column `depth`. Instructions come out in
+  // postfix order (lhs subtree, rhs subtree, node), the recursive
+  // evaluator's completion order. Live stack operands always sit in
+  // columns 0..depth-1, so dense slot assignment never clobbers a live
+  // value (an instruction may write the column it reads — element i is
+  // fully read before element i is written).
   std::size_t depth = 0;
-  const auto pop = [this, &depth]() {
-    const Operand operand = vstack_.back();
-    vstack_.pop_back();
-    if (operand.src == Src::kStack) --depth;
-    return operand;
-  };
-  for (const NodeRec& rec : recs_) {
-    switch (arity(rec.op)) {
-      case 0:
-        if (rec.op == Op::kVar) {
-          vstack_.push_back(
-              {Src::kVar, static_cast<std::uint32_t>(rec.var)});
-        } else {
-          vstack_.push_back(
-              {Src::kConst, static_cast<std::uint32_t>(constants_.size())});
-          constants_.push_back(rec.value);
-          const_nodes_.push_back(rec.node);
-        }
-        break;
-      case 1: {
-        const Operand a = pop();
-        const auto dst = static_cast<std::uint32_t>(depth);
-        code_.push_back({rec.op, a, {Src::kStack, 0}, dst});
-        vstack_.push_back({Src::kStack, dst});
-        stack_need_ = std::max(stack_need_, ++depth);
-        break;
-      }
-      case 2: {
-        const Operand b = pop();
-        const Operand a = pop();
-        const auto dst = static_cast<std::uint32_t>(depth);
-        code_.push_back({rec.op, a, b, dst});
-        vstack_.push_back({Src::kStack, dst});
-        stack_need_ = std::max(stack_need_, ++depth);
-        break;
-      }
+  for (std::size_t at = 0; at < genes.size();) {
+    const std::uint8_t* gene = &genes[at];
+    const Op op = gene_op(gene);
+    at += gene_bytes(op);
+    ++nodes_;
+    Operand operand;
+    if (op == Op::kVar) {
+      operand = {Src::kVar, static_cast<std::uint32_t>(gene_var(gene))};
+    } else if (op == Op::kConst) {
+      operand = {Src::kConst, static_cast<std::uint32_t>(constants_.size())};
+      constants_.push_back(gene_value(gene));
+    } else {
+      frames_.push_back({op, false, {Src::kStack, 0}});
+      continue;
     }
+    // Hand the finished operand to the innermost open function; each
+    // function it completes hands its own result up in turn.
+    for (; !frames_.empty(); frames_.pop_back()) {
+      Frame& frame = frames_.back();
+      if (arity(frame.op) == 2 && !frame.has_lhs) {
+        frame.has_lhs = true;
+        frame.lhs = operand;
+        break;
+      }
+      const bool binary = arity(frame.op) == 2;
+      const Operand a = binary ? frame.lhs : operand;
+      const Operand b = binary ? operand : Operand{Src::kStack, 0};
+      if (binary && b.src == Src::kStack) --depth;
+      if (a.src == Src::kStack) --depth;
+      const auto dst = static_cast<std::uint32_t>(depth);
+      code_.push_back({frame.op, a, b, dst});
+      stack_need_ = std::max(stack_need_, ++depth);
+      operand = {Src::kStack, dst};
+    }
+    if (frames_.empty()) result_ = operand;
   }
-  result_ = vstack_.empty() ? Operand{Src::kStack, 0} : vstack_.back();
-}
-
-void Program::recompile(const Expr& expr, std::size_t n_vars,
-                        std::string* key) {
-  analyze(expr, n_vars, key);
-  emit();
 }
 
 double Program::eval_scalar(std::span<const double> vars,
@@ -248,28 +200,6 @@ void Program::eval_batch(const SampleMatrix& samples,
   }
 }
 
-void Program::append_key(std::string& out) const {
-  // Interleaved record layout: node count, then op byte + payload per
-  // node in postfix order. The count prefix plus the per-op payload
-  // sizes keep the stream unambiguous.
-  out.clear();
-  const std::uint32_t count = static_cast<std::uint32_t>(recs_.size());
-  append_raw(out, &count, sizeof count);
-  for (const NodeRec& rec : recs_) {
-    out.push_back(static_cast<char>(rec.op));
-    if (rec.op == Op::kVar) {
-      const auto var = static_cast<std::uint32_t>(rec.var);
-      append_raw(out, &var, sizeof var);
-    } else if (rec.op == Op::kConst) {
-      // Raw bit pattern: constants that differ only in sign of zero or
-      // NaN payload still get distinct keys.
-      append_raw(out, &rec.value, sizeof rec.value);
-    }
-  }
-}
-
-void Program::structural_key(std::string& out) const { append_key(out); }
-
 void FitnessCache::reset(std::size_t max_keys) {
   // A run's keys spread over the shards by hash; twice the even share
   // plus slack is more than ten standard deviations above a shard's
@@ -295,7 +225,7 @@ void FitnessCache::clear(Shard& shard) {
   shard.overflow.clear();
 }
 
-std::uint64_t FitnessCache::hash_key(const std::string& key) {
+std::uint64_t FitnessCache::hash_key(std::string_view key) {
   // Chunked xor-multiply mix (8 bytes per step). Quality only matters
   // for shard choice and probe placement — equality is always decided by
   // comparing full keys, so a colliding pair can share a slot chain but
@@ -319,7 +249,7 @@ std::uint64_t FitnessCache::hash_key(const std::string& key) {
 }
 
 bool FitnessCache::slot_matches(const Shard& shard, const Slot& slot,
-                                const std::string& key) {
+                                std::string_view key) {
   if (slot.len != key.size()) return false;
   if (slot.len <= kInlineKey) {
     return std::memcmp(slot.key, key.data(), slot.len) == 0;
@@ -329,7 +259,7 @@ bool FitnessCache::slot_matches(const Shard& shard, const Slot& slot,
   return shard.overflow[index] == key;
 }
 
-std::optional<double> FitnessCache::lookup(const std::string& key) {
+std::optional<double> FitnessCache::lookup(std::string_view key) {
   const std::uint64_t hash = hash_key(key);
   Shard& shard = shard_for(hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -345,7 +275,7 @@ std::optional<double> FitnessCache::lookup(const std::string& key) {
   return std::nullopt;
 }
 
-void FitnessCache::insert(const std::string& key, double fitness) {
+void FitnessCache::insert(std::string_view key, double fitness) {
   const std::uint64_t hash = hash_key(key);
   Shard& shard = shard_for(hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -365,7 +295,7 @@ void FitnessCache::insert(const std::string& key, double fitness) {
         std::memcpy(slot.key, key.data(), key.size());
       } else {
         const auto index = static_cast<std::uint32_t>(shard.overflow.size());
-        shard.overflow.push_back(key);
+        shard.overflow.emplace_back(key);
         std::memcpy(slot.key, &index, sizeof index);
       }
       shard.used.push_back(static_cast<std::uint32_t>(i));

@@ -1,29 +1,26 @@
 #pragma once
-// Flat bytecode execution engine for GP expression trees. Expr::eval
-// chases unique_ptr children once per sample per individual per
-// generation — the dominant cost of every campaign (Table 8). Program
-// lowers a tree to a postfix tape and executes it with an iterative
-// stack machine over a column-major SampleMatrix: the operator dispatch
-// runs once per *node* instead of once per (node, sample), the inner
-// loops stream over contiguous columns, and a scoring pass performs
+// Flat bytecode execution engine for GP programs. A tree walk chases
+// pointers once per sample per individual per generation; Program lowers
+// a genome (gp/genome.hpp) to a postfix tape and executes it with an
+// iterative stack machine over a column-major SampleMatrix: the operator
+// dispatch runs once per *node* instead of once per (node, sample), the
+// inner loops stream over contiguous columns, and a scoring pass performs
 // zero allocations once the scratch buffers are warm. The tape applies
 // the exact operation sequence tree evaluation would (postfix = the
 // recursive evaluator's completion order, protected-op semantics
 // included), so every sample's result is bit-identical to Expr::eval —
 // the property the fleet's report_signature determinism gates rely on.
 //
-// Lowering is split into two stages so the fitness cache's hot path
-// stays minimal: analyze() makes a single walk over the tree and emits
-// the canonical structural key (all a cache hit needs), and emit()
-// lowers the analyzed nodes into executable instructions — paid only on
-// a cache miss. Instructions use fused operands: an operator reads leaf
+// Lowering is one forward scan of the genome; it runs only when a fitness
+// has to be computed, since a cache hit needs nothing but the genome's
+// bytes. Instructions use fused operands: an operator reads leaf
 // arguments straight from the sample columns or the constant pool
 // instead of first materializing them as stack columns, which removes
 // roughly half the memory traffic of a typical small tree.
 //
-// FitnessCache rides on top: the analyze() byte stream is a canonical
-// structural key for the expression, so crossover/mutation offspring
-// that reproduce an already-seen shape can skip rescoring entirely.
+// FitnessCache rides on top: the genome's packed bytes are a canonical
+// key for the program, so crossover/mutation offspring that reproduce an
+// already-seen program can skip rescoring entirely.
 
 #include <array>
 #include <atomic>
@@ -32,9 +29,11 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gp/expr.hpp"
+#include "gp/genome.hpp"
 
 namespace dpr::gp {
 
@@ -123,60 +122,34 @@ struct EvalScratch {
   AlignedBuffer stack;              // stack_need padded column slots
   std::vector<double> predictions;  // one prediction per sample
   std::vector<double> residuals;    // trimmed-MAE scratch
-  std::string key;                  // structural cache key buffer
 };
 
-/// A compiled expression: postfix tape with fused leaf operands.
+/// A compiled program: postfix tape with fused leaf operands.
 class Program {
  public:
   Program() = default;
 
-  /// Lower `expr` to a tape. Iterative (explicit stack), so pathologically
-  /// deep trees cannot overflow the C stack. Throws std::invalid_argument
-  /// if the tree references a variable index outside [0, n_vars) — bad
-  /// trees surface here instead of silently evaluating to 0.
-  static Program compile(const Expr& expr, std::size_t n_vars);
+  /// Lower one genome to a tape in a single forward scan (no recursion,
+  /// so pathologically deep programs cannot overflow the C stack),
+  /// reusing this program's buffers: no allocation once capacities are
+  /// warm. The genome's variable indices must be valid for the samples
+  /// the tape will run on.
+  void lower(std::span<const std::uint8_t> genes);
 
-  /// Stage 1: walk `expr` once (iteratively), validate variable indices
-  /// against n_vars, and — when `key` is non-null — serialize the
-  /// canonical structural key into it (identical bytes to
-  /// structural_key()). After analyze(), size() is valid but the tape is
-  /// stale; call emit() before evaluating. This is the cache-hit fast
-  /// path: a hit costs one tree walk and one probe, no lowering.
-  void analyze(const Expr& expr, std::size_t n_vars,
-               std::string* key = nullptr);
-
-  /// Stage 2: lower the nodes collected by the last analyze() into
-  /// executable instructions, reusing this program's buffers (no
-  /// allocation once capacities are warm).
-  void emit();
-
-  /// analyze() + emit(): full lowering in one call.
-  void recompile(const Expr& expr, std::size_t n_vars,
-                 std::string* key = nullptr);
-
-  /// Node count of the last analyzed/compiled tree. (Fused instructions
-  /// cover several nodes each, so this is intentionally *not* the
-  /// instruction count — parsimony pressure keys off tree size.)
-  std::size_t size() const { return recs_.size(); }
-  bool empty() const { return recs_.empty(); }
+  /// Node count of the lowered program. (Fused instructions cover several
+  /// nodes each, so this is intentionally *not* the instruction count —
+  /// parsimony pressure keys off program size.)
+  std::size_t size() const { return nodes_; }
   /// Peak operand-stack columns of one tape pass (leaf operands are
   /// fused into their consumers and never occupy a column).
   std::size_t stack_need() const { return stack_need_; }
-  std::size_t n_constants() const { return constants_.size(); }
 
-  /// Constant pool access for coordinate-descent tuning: `const_node(i)`
-  /// is the tree node the pool entry was lowered from (postfix order), so
-  /// a tuner can patch tree and tape in lockstep without recompiling.
-  double constant(std::size_t pool_index) const {
-    return constants_[pool_index];
-  }
-  void set_constant(std::size_t pool_index, double value) {
-    constants_[pool_index] = value;
-  }
-  const Node* const_node(std::size_t pool_index) const {
-    return const_nodes_[pool_index];
-  }
+  /// Constant pool, in genome (pre-order) order: entry k is the k-th
+  /// constant gene, so a tuner can patch genome and tape in lockstep
+  /// without lowering again.
+  std::size_t n_constants() const { return constants_.size(); }
+  double constant(std::size_t k) const { return constants_[k]; }
+  void set_constant(std::size_t k, double value) { constants_[k] = value; }
 
   /// Evaluate one sample. Iterative; bit-identical to Expr::eval.
   double eval_scalar(std::span<const double> vars,
@@ -192,24 +165,7 @@ class Program {
   /// kernel table.
   void eval_batch(const SampleMatrix& samples, EvalScratch& scratch) const;
 
-  /// Serialize the structural key into `out` (cleared first): an
-  /// instruction-count prefix, then per tree node (postfix order) the op
-  /// byte followed by its payload (variable index for kVar, raw constant
-  /// bits for kConst). Two expressions get equal keys iff their trees
-  /// are structurally identical, which makes the key safe to cache
-  /// fitness under — no hash collisions, exact byte equality.
-  void structural_key(std::string& out) const;
-
  private:
-  /// One tree node, captured during analyze() so emit() and the key
-  /// serializer stream over contiguous memory instead of re-chasing
-  /// child pointers.
-  struct NodeRec {
-    const Node* node;
-    Op op;
-    std::int32_t var;
-    double value;
-  };
   /// Where an instruction operand lives.
   enum class Src : std::uint8_t { kStack, kVar, kConst };
   struct Operand {
@@ -225,20 +181,23 @@ class Program {
     std::uint32_t dst;
   };
 
-  void append_key(std::string& out) const;
+  /// A function whose operands are still being lowered.
+  struct Frame {
+    Op op;
+    bool has_lhs;
+    Operand lhs;
+  };
 
-  std::vector<NodeRec> recs_;        // postfix node records (analyze)
-  std::vector<Instr> code_;          // fused instructions (emit)
+  std::vector<Instr> code_;          // fused instructions
   Operand result_{Src::kStack, 0};   // where the final value lives
-  std::vector<double> constants_;    // constant pool, postfix order
-  std::vector<const Node*> const_nodes_;  // pool entry -> source tree node
-  std::vector<const Node*> dfs_;     // traversal stack, reused
-  std::vector<Operand> vstack_;      // emit-time virtual stack, reused
+  std::vector<double> constants_;    // constant pool, pre-order
+  std::vector<Frame> frames_;        // lowering stack, reused
+  std::size_t nodes_ = 0;
   std::size_t stack_need_ = 0;
 };
 
-/// Bounded, sharded map from structural key to trimmed-MAE fitness,
-/// shared by every worker of one infer_formula() run. Lookups compare
+/// Bounded, sharded map from program key (genome bytes) to trimmed-MAE
+/// fitness, shared by every worker of one infer_formula() run. Lookups compare
 /// full keys (never hashes alone), and a cached value is a pure function
 /// of (key, dataset), so hit/miss patterns — and therefore thread
 /// scheduling and eviction — can never change a result, only how fast it
@@ -257,8 +216,8 @@ class Program {
 /// Storage is an open-addressed slot array per shard (linear probing at
 /// ≤ 0.5 load, key hashed once per operation). A slot is one cache line
 /// with the key bytes stored inline — a probe never chases a string
-/// pointer — and keys longer than the inline capacity (rare, deep
-/// trees) fall back to a per-shard overflow pool. Equality is always
+/// pointer — and keys longer than the inline capacity (rare, large
+/// programs) fall back to a per-shard overflow pool. Equality is always
 /// decided on full key bytes, never the hash alone.
 class FitnessCache {
  public:
@@ -269,8 +228,8 @@ class FitnessCache {
   /// run's workers start.
   void reset(std::size_t max_keys);
 
-  std::optional<double> lookup(const std::string& key);
-  void insert(const std::string& key, double fitness);
+  std::optional<double> lookup(std::string_view key);
+  void insert(std::string_view key, double fitness);
 
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   std::uint64_t misses() const {
@@ -297,8 +256,8 @@ class FitnessCache {
   };
   static void clear(Shard& shard);
   static bool slot_matches(const Shard& shard, const Slot& slot,
-                           const std::string& key);
-  static std::uint64_t hash_key(const std::string& key);
+                           std::string_view key);
+  static std::uint64_t hash_key(std::string_view key);
   Shard& shard_for(std::uint64_t hash) {
     return shards_[(hash >> 56) % kShards];
   }

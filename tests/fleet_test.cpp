@@ -100,30 +100,6 @@ TEST(Fleet, SummaryAggregatesPhaseTimingsAndTotals) {
   EXPECT_GT(summary.total_ecrs(), 0u);
 }
 
-TEST(Fleet, TapeEvalMatchesTreeEvalSignatures) {
-  // The acceptance gate for the bytecode engine: the whole pipeline's
-  // report signatures — formula strings, fitness bits, ECR findings —
-  // must be identical whether GP fitness is scored by the legacy
-  // recursive tree walker or by the compiled tape (with the structural
-  // cache), at every GP thread count.
-  const auto cars = small_fleet();
-  FleetOptions tree;
-  tree.fleet_threads = 1;
-  tree.campaign = small_options();
-  tree.campaign.live_window = 4 * util::kSecond;
-  tree.campaign.gp.population = 48;
-  tree.campaign.gp.use_tape = false;
-  const auto reference = fleet_signature(FleetRunner(tree).run(cars));
-
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    FleetOptions tape = tree;
-    tape.campaign.gp.use_tape = true;
-    tape.campaign.gp.n_threads = threads;
-    const auto signature = fleet_signature(FleetRunner(tape).run(cars));
-    EXPECT_EQ(signature, reference) << "gp threads " << threads;
-  }
-}
-
 TEST(Fleet, FaultyFleetBitIdenticalAcrossThreadCounts) {
   // The determinism contract must survive fault injection: every fault
   // draw happens on campaign-owned state in wire-delivery order, so a

@@ -1,14 +1,18 @@
-// Differential tests for the gp::Program bytecode engine: the tape must
-// reproduce the recursive tree walker bit for bit (the fleet's
-// report_signature determinism gates depend on it), the structural
-// fitness cache must never change a result, and deep trees must never
-// touch the C stack limits.
+// Differential tests for the GP engine's flat representations: the tape
+// lowered from a genome must reproduce the recursive tree walker bit for
+// bit (the fleet's report_signature determinism gates depend on it), the
+// genome breeding operators must match the tree operators they replaced
+// (tests/gp_tree_oracle.hpp) draw for draw, the structural fitness cache
+// must never change a result, and deep programs must never touch the C
+// stack limits.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -18,8 +22,10 @@
 #include "gp/batch.hpp"
 #include "gp/engine.hpp"
 #include "gp/expr.hpp"
+#include "gp/genome.hpp"
 #include "gp/kernels.hpp"
 #include "gp/program.hpp"
+#include "gp_tree_oracle.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dpr::gp {
@@ -38,6 +44,20 @@ class SimdGuard {
  private:
   bool previous_;
 };
+
+/// The genes of `expr` (variables valid below `n_vars`).
+Genes genes_of(const Expr& expr, std::size_t n_vars) {
+  Genes genes;
+  flatten(expr, n_vars, genes);
+  return genes;
+}
+
+/// `expr` flattened and lowered, as the engine lowers a genome.
+Program compile(const Expr& expr, std::size_t n_vars) {
+  Program program;
+  program.lower(genes_of(expr, n_vars));
+  return program;
+}
 
 TEST(SampleMatrix, ColumnMajorLayout) {
   const std::vector<std::vector<double>> rows{{1.0, 10.0},
@@ -66,7 +86,7 @@ TEST(Program, CompilesToPostfixTape) {
   const auto expr = Expr::binary(
       Op::kDiv, Expr::binary(Op::kMul, Expr::variable(0), Expr::variable(1)),
       Expr::constant(5.0));
-  const auto program = Program::compile(expr, 2);
+  const auto program = compile(expr, 2);
   EXPECT_EQ(program.size(), 5u);
   EXPECT_EQ(program.n_constants(), 1u);
   EXPECT_DOUBLE_EQ(program.constant(0), 5.0);
@@ -84,10 +104,10 @@ TEST(Program, BareLeafProgramsEvaluate) {
   // A single-node tree compiles to zero instructions; the result operand
   // points straight at the variable column / constant pool.
   EvalScratch scratch;
-  const auto constant = Program::compile(Expr::constant(2.5), 1);
+  const auto constant = compile(Expr::constant(2.5), 1);
   EXPECT_EQ(bits(constant.eval_scalar({}, scratch)), bits(2.5));
 
-  const auto var = Program::compile(Expr::variable(0), 1);
+  const auto var = compile(Expr::variable(0), 1);
   const std::vector<std::vector<double>> rows{{7.0}, {-0.0}};
   const auto matrix = SampleMatrix::from_rows(rows, 1);
   var.eval_batch(matrix, scratch);
@@ -101,8 +121,8 @@ TEST(Program, BareLeafProgramsEvaluate) {
 TEST(Program, RejectsOutOfRangeVariable) {
   const auto expr = Expr::binary(Op::kAdd, Expr::variable(0),
                                  Expr::variable(5));
-  EXPECT_THROW(Program::compile(expr, 2), std::invalid_argument);
-  EXPECT_NO_THROW(Program::compile(expr, 6));
+  EXPECT_THROW(compile(expr, 2), std::invalid_argument);
+  EXPECT_NO_THROW(compile(expr, 6));
 }
 
 TEST(Expr, EvalThrowsOnOutOfRangeVariable) {
@@ -111,21 +131,37 @@ TEST(Expr, EvalThrowsOnOutOfRangeVariable) {
   EXPECT_THROW(expr.eval(vars), std::out_of_range);
 }
 
-TEST(Program, StructuralKeyDistinguishesShapesAndConstants) {
+TEST(Genome, KeyDistinguishesShapesAndConstants) {
   const auto a = Expr::binary(Op::kAdd, Expr::variable(0),
                               Expr::constant(1.0));
   const auto b = Expr::binary(Op::kAdd, Expr::variable(0),
                               Expr::constant(2.0));
   const auto c = Expr::binary(Op::kSub, Expr::variable(0),
                               Expr::constant(1.0));
-  std::string ka, kb, kc, ka2;
-  Program::compile(a, 1).structural_key(ka);
-  Program::compile(b, 1).structural_key(kb);
-  Program::compile(c, 1).structural_key(kc);
-  Program::compile(a, 1).structural_key(ka2);
-  EXPECT_EQ(ka, ka2);
-  EXPECT_NE(ka, kb);  // same shape, different constant bits
-  EXPECT_NE(ka, kc);  // same operands, different op
+  const auto ka = genes_of(a, 1);
+  EXPECT_EQ(ka, genes_of(a, 1));
+  EXPECT_NE(ka, genes_of(b, 1));  // same shape, different constant bits
+  EXPECT_NE(ka, genes_of(c, 1));  // same operands, different op
+  // Packed: an op byte per node, a byte per variable, 8 per constant.
+  EXPECT_EQ(ka.size(), 1u + 2u + 9u);
+}
+
+TEST(Genome, FlattenAndRebuildRoundTrip) {
+  util::Rng rng(0x6E0);
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t n_vars = 1 + rng.uniform_int(0, 1);
+    Genes genes;
+    const std::size_t nodes = random_genome(
+        rng, n_vars, static_cast<int>(rng.uniform_int(0, 6)),
+        rng.chance(0.5), genes);
+    const Expr expr = to_expr(genes);
+    EXPECT_EQ(expr.size(), nodes);
+    EXPECT_EQ(expr.depth(), genome_depth(genes));
+    EXPECT_EQ(genes_of(expr, n_vars), genes);
+    const auto whole = subtree(genes, 0);
+    EXPECT_EQ(whole.end, genes.size());
+    EXPECT_EQ(whole.nodes, nodes);
+  }
 }
 
 TEST(Program, DifferentialFuzzTreeVsTapeBitIdentical) {
@@ -141,8 +177,11 @@ TEST(Program, DifferentialFuzzTreeVsTapeBitIdentical) {
   for (int trial = 0; trial < 1200; ++trial) {
     const std::size_t n_vars = 1 + rng.uniform_int(0, 1);
     const int depth = static_cast<int>(rng.uniform_int(1, 5));
-    const auto expr = random_expr(rng, n_vars, depth, rng.chance(0.5));
-    const auto program = Program::compile(expr, n_vars);
+    Genes genes;
+    random_genome(rng, n_vars, depth, rng.chance(0.5), genes);
+    const auto expr = to_expr(genes);
+    Program program;
+    program.lower(genes);
     ASSERT_EQ(program.size(), expr.size());
 
     // A batch per expression, spanning sign changes, the protected-op
@@ -305,7 +344,7 @@ TEST(Kernels, InPlaceColumnUpdateIsSafe) {
 
 TEST(Program, DeepChainNeverTouchesTheCStack) {
   // 200k unary nodes: recursive clone/size/teardown would overflow the
-  // stack; every structural operation must be iterative.
+  // stack; every structural operation, tree or genome, must be iterative.
   constexpr int kDepth = 200000;
   Expr expr = Expr::constant(1.5);
   for (int i = 0; i < kDepth; ++i) {
@@ -316,20 +355,135 @@ TEST(Program, DeepChainNeverTouchesTheCStack) {
   Expr copy = expr;  // iterative clone
   EXPECT_EQ(copy.size(), expr.size());
 
-  const auto program = Program::compile(expr, 1);  // iterative lowering
+  const auto program = compile(expr, 1);  // iterative lowering
   EXPECT_EQ(program.size(), static_cast<std::size_t>(kDepth) + 1);
   EXPECT_EQ(program.stack_need(), 1u);
   EvalScratch scratch;
   EXPECT_DOUBLE_EQ(program.eval_scalar({}, scratch), 1.5);
-  // Iterative ~Node runs when expr/copy leave scope.
+
+  const Genes genes = genes_of(expr, 1);  // iterative flatten
+  EXPECT_EQ(genome_depth(genes), kDepth + 1);
+  EXPECT_EQ(subtree(genes, 0).nodes, static_cast<std::size_t>(kDepth) + 1);
+  EXPECT_EQ(to_expr(genes).size(), expr.size());  // iterative rebuild
+  // Iterative ~Node runs when the trees leave scope.
 }
 
-TEST(Program, RandomExprDepthRequestIsCapped) {
+TEST(Genome, RandomGenomeDepthRequestIsCapped) {
   util::Rng rng(7);
-  const auto grown = random_expr(rng, 2, 1 << 30, false);
-  EXPECT_LE(grown.depth(), kMaxGrowDepth + 1);
-  const auto full = random_expr(rng, 2, 4096, true);
-  EXPECT_LE(full.depth(), kMaxFullDepth + 1);
+  Genes grown;
+  random_genome(rng, 2, 1 << 30, false, grown);
+  EXPECT_LE(genome_depth(grown), kMaxGrowDepth + 1);
+  Genes full;
+  random_genome(rng, 2, 4096, true, full);
+  EXPECT_LE(genome_depth(full), kMaxFullDepth + 1);
+}
+
+// --- Genome operators vs the tree oracle -------------------------------------
+
+bool same_state(const util::Rng& a, const util::Rng& b) {
+  const auto x = a.state();
+  const auto y = b.state();
+  return std::equal(std::begin(x.s), std::end(x.s), std::begin(y.s)) &&
+         x.has_cached_normal == y.has_cached_normal &&
+         bits(x.cached_normal) == bits(y.cached_normal);
+}
+
+/// A least-squares-style seed: c0 + c1*b1 + ... + ck*bk as a left-nested
+/// chain, with products of both variables among the terms, so it is
+/// deeper than the usual max_depth, as the degree-2 seeds are.
+Expr chain_seed(util::Rng& rng, std::size_t n_vars, int terms) {
+  Expr sum = Expr::constant(rng.uniform(-5.0, 5.0));
+  for (int t = 0; t < terms; ++t) {
+    const int i = static_cast<int>(rng.uniform_int(0, n_vars - 1));
+    const int j = static_cast<int>(rng.uniform_int(0, n_vars - 1));
+    Expr basis = rng.chance(0.5) ? Expr::variable(i)
+                                 : Expr::binary(Op::kMul, Expr::variable(i),
+                                                Expr::variable(j));
+    sum = Expr::binary(Op::kAdd, std::move(sum),
+                       Expr::binary(Op::kMul,
+                                    Expr::constant(rng.uniform(-5.0, 5.0)),
+                                    std::move(basis)));
+  }
+  return sum;
+}
+
+TEST(Genome, OperatorsMatchTreeOracleDrawForDraw) {
+  // From the same parents and Rng state, each genome operator must build
+  // the tree the tree operator builds (or keep the parent exactly when
+  // the tree operator rejects or mutates nothing) and leave the Rng in
+  // the same state. Random parents come from both generators, which must
+  // agree too.
+  util::Rng picker(0xD1FF0);
+  std::size_t fresh = 0, rejected = 0, unmutated = 0, deep_parents = 0;
+  constexpr int kCases = 12000;
+  for (int trial = 0; trial < kCases; ++trial) {
+    const std::size_t n_vars = 1 + picker.uniform_int(0, 1);
+    const int max_depth = static_cast<int>(picker.uniform_int(2, 8));
+    const auto parent = [&](Genes& genes) {
+      if (picker.chance(0.2)) {
+        const Expr seed = chain_seed(
+            picker, n_vars, static_cast<int>(picker.uniform_int(3, 6)));
+        flatten(seed, n_vars, genes);
+        deep_parents += seed.depth() > max_depth;
+        return seed;
+      }
+      const int depth = static_cast<int>(picker.uniform_int(0, 5));
+      const bool full = picker.chance(0.3);
+      util::Rng tree_rng(picker());
+      util::Rng genome_rng = tree_rng;
+      Expr tree = oracle::random_expr(tree_rng, n_vars, depth, full);
+      const std::size_t nodes =
+          random_genome(genome_rng, n_vars, depth, full, genes);
+      EXPECT_EQ(nodes, tree.size());
+      EXPECT_EQ(genes_of(tree, n_vars), genes) << "trial " << trial;
+      EXPECT_TRUE(same_state(tree_rng, genome_rng)) << "trial " << trial;
+      return tree;
+    };
+    Genes genes_a, genes_b;
+    const Expr a = parent(genes_a);
+    const Expr b = parent(genes_b);
+    const GenomeView va{genes_a, a.size()};
+    const GenomeView vb{genes_b, b.size()};
+
+    util::Rng tree_rng(picker());
+    util::Rng genome_rng = tree_rng;
+    Genes out{0xEE};  // operators append after whatever `out` holds
+    std::optional<Expr> want;
+    Bred got;
+    switch (trial % 3) {
+      case 0:
+        want = oracle::crossover(a, b, tree_rng, max_depth);
+        got = crossover(va, vb, genome_rng, max_depth, out);
+        break;
+      case 1:
+        want = oracle::subtree_mutation(a, tree_rng, n_vars, max_depth);
+        got = subtree_mutation(va, genome_rng, n_vars, max_depth, out);
+        break;
+      default:
+        want = oracle::point_mutation(a, tree_rng, n_vars);
+        got = point_mutation(va, genome_rng, n_vars, out);
+    }
+    ASSERT_TRUE(same_state(tree_rng, genome_rng)) << "trial " << trial;
+    ASSERT_EQ(got.fresh, want.has_value()) << "trial " << trial;
+    const Expr& child = want ? *want : a;
+    ASSERT_EQ(out[0], 0xEE);
+    ASSERT_EQ(Genes(out.begin() + 1, out.end()), genes_of(child, n_vars))
+        << "trial " << trial;
+    ASSERT_EQ(got.nodes, child.size()) << "trial " << trial;
+    if (got.fresh) {
+      ++fresh;
+    } else if (trial % 3 == 2) {
+      ++unmutated;
+    } else {
+      ++rejected;
+    }
+  }
+  // Every outcome is exercised, oversize rejection and seeds deeper than
+  // max_depth included.
+  EXPECT_GT(fresh, kCases / 2u);
+  EXPECT_GT(rejected, 500u);
+  EXPECT_GT(unmutated, 200u);
+  EXPECT_GT(deep_parents, 500u);
 }
 
 TEST(FitnessCache, HitReturnsInsertedValueAndCounts) {
@@ -343,19 +497,20 @@ TEST(FitnessCache, HitReturnsInsertedValueAndCounts) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
-/// `count` distinct structural keys of random expressions: what a run
-/// actually inserts, so shard balance is tested on real key bytes.
+/// `count` distinct genome keys of random programs: what a run actually
+/// inserts, so shard balance is tested on real key bytes.
 std::vector<std::string> distinct_shape_keys(std::size_t count,
                                              std::uint64_t seed) {
   util::Rng rng(seed);
-  Program program;
-  std::string key;
+  Genes genes;
   std::unordered_set<std::string> seen;
   std::vector<std::string> keys;
   while (keys.size() < count) {
     const int depth = static_cast<int>(rng.uniform_int(2, 4));
-    program.analyze(random_expr(rng, 2, depth, rng.chance(0.5)), 2, &key);
-    if (seen.insert(key).second) keys.push_back(key);
+    genes.clear();
+    random_genome(rng, 2, depth, rng.chance(0.5), genes);
+    std::string key(genes.begin(), genes.end());
+    if (seen.insert(key).second) keys.push_back(std::move(key));
   }
   return keys;
 }
@@ -430,7 +585,7 @@ TEST(FitnessCache, RunBoundNeverEvicts) {
   }
 }
 
-// --- Tape vs tree through the full engine -----------------------------------
+// --- The full engine ---------------------------------------------------------
 
 correlate::Dataset synthetic_dataset(std::uint64_t seed, std::size_t n_vars) {
   correlate::Dataset dataset;
@@ -445,39 +600,6 @@ correlate::Dataset synthetic_dataset(std::uint64_t seed, std::size_t n_vars) {
     dataset.points.push_back(std::move(p));
   }
   return dataset;
-}
-
-TEST(TapeEngine, InferMatchesTreeEngineBitwiseAtEveryThreadCount) {
-  // The acceptance gate in miniature: for several datasets and 1/2/8
-  // worker threads, tape+cache inference must return exactly the result
-  // the legacy tree walker returns — formula string, fitness bits,
-  // generation count, everything report_signature folds in.
-  for (const std::uint64_t seed : {11ull, 12ull}) {
-    for (const std::size_t n_vars : {1u, 2u}) {
-      const auto dataset = synthetic_dataset(seed, n_vars);
-      GpConfig tree;
-      tree.population = 96;
-      tree.max_generations = 12;
-      tree.use_tape = false;
-      const auto reference = infer_formula(dataset, tree);
-      ASSERT_TRUE(reference.has_value());
-
-      for (const std::size_t threads : {1u, 2u, 8u}) {
-        GpConfig tape = tree;
-        tape.use_tape = true;
-        tape.n_threads = threads;
-        const auto result = infer_formula(dataset, tape);
-        ASSERT_TRUE(result.has_value());
-        EXPECT_EQ(result->formula, reference->formula)
-            << n_vars << " vars, " << threads << " threads";
-        EXPECT_EQ(bits(result->fitness), bits(reference->fitness));
-        EXPECT_EQ(result->generations_run, reference->generations_run);
-        EXPECT_EQ(result->converged, reference->converged);
-        EXPECT_EQ(result->best.to_string(n_vars),
-                  reference->best.to_string(n_vars));
-      }
-    }
-  }
 }
 
 TEST(TapeEngine, SimdAndScalarTapeInferBitIdentical) {

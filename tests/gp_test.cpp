@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "gp/batch.hpp"
 #include "gp/engine.hpp"
 #include "gp/expr.hpp"
+#include "gp/genome.hpp"
 #include "gp/scaling.hpp"
+#include "gp_tree_oracle.hpp"
 
 namespace dpr::gp {
 namespace {
@@ -76,17 +79,20 @@ TEST(Expr, ToStringVariableNaming) {
 TEST(Expr, CopyIsDeep) {
   auto a = Expr::binary(Op::kAdd, Expr::variable(0), Expr::constant(1.0));
   Expr b = a;
-  b.constant_nodes()[0]->value = 99.0;
+  b.root()->rhs->value = 99.0;
   const std::vector<double> vars{0.0};
   EXPECT_DOUBLE_EQ(a.eval(vars), 1.0);
   EXPECT_DOUBLE_EQ(b.eval(vars), 99.0);
 }
 
-TEST(Expr, RandomExprRespectsDepthBound) {
+TEST(Genome, RandomGenomeRespectsDepthBound) {
   util::Rng rng(5);
   for (int i = 0; i < 50; ++i) {
-    auto expr = random_expr(rng, 2, 3, true);
-    EXPECT_LE(expr.depth(), 4);
+    Genes genes;
+    const std::size_t nodes = random_genome(rng, 2, 3, true, genes);
+    EXPECT_LE(genome_depth(genes), 4);
+    EXPECT_EQ(subtree(genes, 0).nodes, nodes);
+    EXPECT_EQ(subtree(genes, 0).end, genes.size());
   }
 }
 
@@ -222,6 +228,37 @@ TEST(Infer, TooFewPointsRejected) {
     dataset.points.push_back(correlate::DataPoint{{double(i)}, double(i)});
   }
   EXPECT_EQ(infer_formula(dataset, fast_config()), std::nullopt);
+}
+
+TEST(Infer, EmptyInitialPopulationRejected) {
+  // Population 0 with both seed sets off leaves nothing to evolve.
+  const auto dataset =
+      make_dataset(1, [](double x, double) { return x; }, 0, 255);
+  GpConfig config = fast_config();
+  config.population = 0;
+  config.seed_templates = false;
+  config.seed_least_squares = false;
+  EXPECT_EQ(infer_formula(dataset, config), std::nullopt);
+  // With seeds, population 0 still searches over the seeds alone.
+  config.seed_templates = true;
+  const auto seeded = infer_formula(dataset, config);
+  ASSERT_TRUE(seeded.has_value());
+  EXPECT_TRUE(seeded->converged);
+}
+
+TEST(Infer, OperandCountOutsideGenomeRangeRejected) {
+  // A variable gene names its operand in one byte, and a formula needs
+  // at least one operand.
+  for (const std::size_t n_vars : {std::size_t{0}, kMaxVars + 1}) {
+    correlate::Dataset dataset;
+    dataset.n_vars = n_vars;
+    for (int i = 0; i < 8; ++i) {
+      dataset.points.push_back(
+          correlate::DataPoint{std::vector<double>(n_vars, i), double(i)});
+    }
+    EXPECT_THROW(infer_formula(dataset, fast_config()), std::invalid_argument)
+        << n_vars << " operands";
+  }
 }
 
 TEST(Infer, DeterministicForFixedSeed) {
@@ -376,7 +413,7 @@ TEST(Property, RandomExpressionsNeverProduceNonFiniteFitness) {
   // Protected operators guarantee finite evaluation everywhere.
   util::Rng rng(37);
   for (int trial = 0; trial < 300; ++trial) {
-    auto expr = random_expr(rng, 2, 4, rng.chance(0.5));
+    auto expr = oracle::random_expr(rng, 2, 4, rng.chance(0.5));
     const std::vector<double> vars{rng.uniform(-1e4, 1e4),
                                    rng.uniform(-1e4, 1e4)};
     const double value = expr.eval(vars);
@@ -388,7 +425,7 @@ TEST(Property, RandomExpressionsNeverProduceNonFiniteFitness) {
 TEST(Property, SimplifyPreservesSemantics) {
   util::Rng rng(41);
   for (int trial = 0; trial < 200; ++trial) {
-    auto expr = random_expr(rng, 2, 4, false);
+    auto expr = oracle::random_expr(rng, 2, 4, false);
     Expr simplified = expr;
     simplified.simplify();
     for (int probe = 0; probe < 5; ++probe) {

@@ -90,9 +90,6 @@ void usage() {
                "                   (collect..score) until the watchdog fires\n"
                "  --signature <file>  write the run's deterministic report\n"
                "                   signature (CI compares fresh vs resumed)\n"
-               "  --tree-eval      score GP fitness with the legacy recursive\n"
-               "                   tree walker instead of the bytecode tape\n"
-               "                   (bit-identical results; equivalence switch)\n"
                "  --scalar-tape    disable the AVX2 tape kernels and evaluate\n"
                "                   with the portable scalar kernels\n"
                "                   (bit-identical results; equivalence switch)\n"
@@ -269,8 +266,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       options.infer_threads =
           static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--tree-eval") {
-      options.gp.use_tape = false;
     } else if (arg == "--scalar-tape") {
       gp::set_simd_enabled(false);
     } else if (arg == "--legacy-bus") {
