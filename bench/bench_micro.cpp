@@ -1,18 +1,23 @@
-// Micro-benchmarks (google-benchmark): protocol-stack and inference
-// kernel throughput. Not a paper table — engineering numbers for the
+// Micro-benchmarks (google-benchmark): protocol-stack, screenshot-analysis
+// and inference kernel throughput. Not a paper table — engineering numbers for the
 // library itself.
 
 #include <benchmark/benchmark.h>
 
 #include "can/bus.hpp"
+#include "core/campaign.hpp"
+#include "cps/ocr.hpp"
 #include "gp/engine.hpp"
 #include "gp/kernels.hpp"
 #include "gp/program.hpp"
 #include "isotp/isotp.hpp"
 #include "obd/pid.hpp"
+#include "screenshot/extract.hpp"
+#include "screenshot/filter.hpp"
 #include "uds/server.hpp"
 #include "util/philox.hpp"
 #include "util/rng.hpp"
+#include "vehicle/generator.hpp"
 #include "vwtp/vwtp.hpp"
 
 namespace {
@@ -217,6 +222,58 @@ void BM_BusDelivery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BusDelivery);
+
+// Screenshot analysis (§3.3) on one generated car's recorded UI video,
+// collected as fleetbench's traffic-only workload does (16 s window, no
+// inference). One iteration is one car.
+const cps::VideoRecording& traffic_video() {
+  static const cps::VideoRecording video = [] {
+    core::CampaignOptions options;
+    options.live_window = 16 * util::kSecond;
+    options.run_inference = false;
+    options.run_baselines = false;
+    core::Campaign campaign(
+        vehicle::generate_fleet(vehicle::GeneratorConfig{}, 1, 1).front(),
+        options);
+    campaign.collect();
+    return campaign.video();
+  }();
+  return video;
+}
+
+void BM_ExtractSamples(benchmark::State& state) {
+  const cps::VideoRecording& video = traffic_video();
+  std::size_t samples = 0;
+  for (auto _ : state) {
+    cps::OcrEngine ocr(util::Rng(5));
+    const auto out = screenshot::extract_samples(video, ocr);
+    samples = out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["frames"] = static_cast<double>(video.frames.size());
+  state.counters["samples"] = static_cast<double>(samples);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(samples));
+}
+BENCHMARK(BM_ExtractSamples)->Unit(benchmark::kMicrosecond);
+
+void BM_FilterSamples(benchmark::State& state) {
+  cps::OcrEngine ocr(util::Rng(5));
+  const auto samples = screenshot::extract_samples(traffic_video(), ocr);
+  std::size_t kept = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto input = samples;  // the copy is not the filter's cost
+    state.ResumeTiming();
+    kept = screenshot::filter_samples(std::move(input)).size();
+    benchmark::DoNotOptimize(kept);
+  }
+  state.counters["samples"] = static_cast<double>(samples.size());
+  state.counters["kept"] = static_cast<double>(kept);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(samples.size()));
+}
+BENCHMARK(BM_FilterSamples)->Unit(benchmark::kMicrosecond);
 
 // 4-lane Philox blocks/sec: arg 0 = util::philox2x64x4, arg 1 = the
 // one-lane reference it must match, run four times for comparability.

@@ -383,44 +383,53 @@ void least_squares_seeds(const FitnessData& data, Genes& out) {
     }
   };
 
+  // The design matrix, row-major, and the robust refit's kept rows:
+  // flat buffers shared by both bases.
+  std::vector<double> rows;
+  std::vector<double> kept_rows;
+  std::vector<double> kept_ys;
+  std::vector<double> residuals;
+  std::vector<double> sorted;
+
   // Solve, then re-solve once excluding gross-residual rows (OCR
   // outliers): a one-step robust refit.
-  auto solve_robust = [&ys](const std::vector<std::vector<double>>& rows)
-      -> std::vector<std::vector<double>> {
-    std::vector<std::vector<double>> solutions;
-    const auto first = regress::solve_least_squares(rows, ys);
-    if (!first) return solutions;
-    solutions.push_back(*first);
+  const auto solve_robust = [&](std::size_t n_cols,
+                                const std::vector<Term>& basis) {
+    const std::size_t n_rows = ys.size();
+    const auto first = regress::solve_least_squares(rows, n_cols, ys);
+    if (!first) return;
+    emit(*first, basis);
 
-    std::vector<double> residuals(rows.size());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
+    residuals.resize(n_rows);
+    for (std::size_t r = 0; r < n_rows; ++r) {
+      const double* row = rows.data() + r * n_cols;
       double predicted = 0.0;
-      for (std::size_t c = 0; c < rows[r].size(); ++c) {
-        predicted += (*first)[c] * rows[r][c];
+      for (std::size_t c = 0; c < n_cols; ++c) {
+        predicted += (*first)[c] * row[c];
       }
       residuals[r] = std::abs(predicted - ys[r]);
     }
-    std::vector<double> sorted = residuals;
+    sorted = residuals;
     std::nth_element(sorted.begin(), sorted.begin() +
                          static_cast<std::ptrdiff_t>(sorted.size() / 2),
                      sorted.end());
     const double cut = std::max(1e-9, 3.0 * sorted[sorted.size() / 2]);
-    std::vector<std::vector<double>> kept_rows;
-    std::vector<double> kept_ys;
-    for (std::size_t r = 0; r < rows.size(); ++r) {
+    kept_rows.clear();
+    kept_rows.reserve(rows.size());
+    kept_ys.clear();
+    for (std::size_t r = 0; r < n_rows; ++r) {
       if (residuals[r] <= cut) {
-        kept_rows.push_back(rows[r]);
+        kept_rows.insert(kept_rows.end(), rows.begin() + r * n_cols,
+                         rows.begin() + (r + 1) * n_cols);
         kept_ys.push_back(ys[r]);
       }
     }
-    if (kept_rows.size() >= rows.size() * 2 / 3 &&
-        kept_rows.size() < rows.size()) {
+    if (kept_ys.size() >= n_rows * 2 / 3 && kept_ys.size() < n_rows) {
       if (const auto second =
-              regress::solve_least_squares(kept_rows, kept_ys)) {
-        solutions.push_back(*second);
+              regress::solve_least_squares(kept_rows, n_cols, kept_ys)) {
+        emit(*second, basis);
       }
     }
-    return solutions;
   };
 
   // Affine basis X0 (, X1), then degree 2: X0 (, X1), X0^2, X0*X1, X1^2.
@@ -436,16 +445,17 @@ void least_squares_seeds(const FitnessData& data, Genes& out) {
         }
       }
     }
-    std::vector<std::vector<double>> rows(xs.n_samples());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      rows[r].reserve(basis.size() + 1);
-      rows[r].push_back(1.0);
+    const std::size_t n_cols = basis.size() + 1;
+    rows.clear();
+    rows.reserve(xs.n_samples() * n_cols);
+    for (std::size_t r = 0; r < xs.n_samples(); ++r) {
+      rows.push_back(1.0);
       for (const Term& term : basis) {
-        rows[r].push_back(term.j < 0 ? xs.at(r, term.i)
-                                     : xs.at(r, term.i) * xs.at(r, term.j));
+        rows.push_back(term.j < 0 ? xs.at(r, term.i)
+                                  : xs.at(r, term.i) * xs.at(r, term.j));
       }
     }
-    for (const auto& sol : solve_robust(rows)) emit(sol, basis);
+    solve_robust(n_cols, basis);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "regress/regress.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -7,19 +8,18 @@ namespace dpr::regress {
 
 namespace {
 
-/// Design-matrix row for the chosen basis.
-std::vector<double> basis_row(std::span<const double> xs, bool polynomial) {
-  std::vector<double> row;
-  row.push_back(1.0);  // intercept
-  for (double x : xs) row.push_back(x);
+/// Appends the design-matrix row of `xs` for the chosen basis.
+void append_basis_row(std::span<const double> xs, bool polynomial,
+                      std::vector<double>& out) {
+  out.push_back(1.0);  // intercept
+  for (double x : xs) out.push_back(x);
   if (polynomial) {
     for (std::size_t i = 0; i < xs.size(); ++i) {
       for (std::size_t j = i; j < xs.size(); ++j) {
-        row.push_back(xs[i] * xs[j]);  // squares and cross terms
+        out.push_back(xs[i] * xs[j]);  // squares and cross terms
       }
     }
   }
-  return row;
 }
 
 std::string basis_name(std::size_t index, std::size_t n_vars,
@@ -65,49 +65,51 @@ std::string render_formula(const std::vector<double>& coeffs,
 }  // namespace
 
 std::optional<std::vector<double>> solve_least_squares(
-    const std::vector<std::vector<double>>& rows,
-    const std::vector<double>& ys) {
-  if (rows.empty() || rows.size() != ys.size()) return std::nullopt;
-  const std::size_t n = rows.front().size();
-  // Ragged rows would read past the short ones below; reject them.
-  for (const auto& row : rows) {
-    if (row.size() != n) return std::nullopt;
-  }
+    std::span<const double> rows, std::size_t n_cols,
+    std::span<const double> ys) {
+  if (ys.empty() || rows.size() != ys.size() * n_cols) return std::nullopt;
+  const std::size_t n = n_cols;
 
-  // Normal equations: M = A^T A (n x n), v = A^T y.
-  std::vector<std::vector<double>> m(n, std::vector<double>(n, 0.0));
+  // Normal equations: M = A^T A (n x n, row-major), v = A^T y.
+  std::vector<double> m(n * n, 0.0);
   std::vector<double> v(n, 0.0);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
+  for (std::size_t r = 0; r < ys.size(); ++r) {
+    const double* row = rows.data() + r * n;
     for (std::size_t i = 0; i < n; ++i) {
-      v[i] += rows[r][i] * ys[r];
+      v[i] += row[i] * ys[r];
       for (std::size_t j = 0; j < n; ++j) {
-        m[i][j] += rows[r][i] * rows[r][j];
+        m[i * n + j] += row[i] * row[j];
       }
     }
   }
   // Ridge epsilon guards near-singular systems (constant columns).
-  for (std::size_t i = 0; i < n; ++i) m[i][i] += 1e-9;
+  for (std::size_t i = 0; i < n; ++i) m[i * n + i] += 1e-9;
+  const auto at = [&m, n](std::size_t r, std::size_t c) -> double& {
+    return m[r * n + c];
+  };
 
   // Gaussian elimination with partial pivoting.
   for (std::size_t col = 0; col < n; ++col) {
     std::size_t pivot = col;
     for (std::size_t r = col + 1; r < n; ++r) {
-      if (std::abs(m[r][col]) > std::abs(m[pivot][col])) pivot = r;
+      if (std::abs(at(r, col)) > std::abs(at(pivot, col))) pivot = r;
     }
-    if (std::abs(m[pivot][col]) < 1e-12) return std::nullopt;
-    std::swap(m[col], m[pivot]);
-    std::swap(v[col], v[pivot]);
+    if (std::abs(at(pivot, col)) < 1e-12) return std::nullopt;
+    if (pivot != col) {
+      std::swap_ranges(&at(col, 0), &at(col, 0) + n, &at(pivot, 0));
+      std::swap(v[col], v[pivot]);
+    }
     for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = m[r][col] / m[col][col];
-      for (std::size_t c = col; c < n; ++c) m[r][c] -= factor * m[col][c];
+      const double factor = at(r, col) / at(col, col);
+      for (std::size_t c = col; c < n; ++c) at(r, c) -= factor * at(col, c);
       v[r] -= factor * v[col];
     }
   }
   std::vector<double> solution(n, 0.0);
   for (std::size_t i = n; i-- > 0;) {
     double sum = v[i];
-    for (std::size_t j = i + 1; j < n; ++j) sum -= m[i][j] * solution[j];
-    solution[i] = sum / m[i][i];
+    for (std::size_t j = i + 1; j < n; ++j) sum -= at(i, j) * solution[j];
+    solution[i] = sum / at(i, i);
   }
   return solution;
 }
@@ -117,16 +119,16 @@ namespace {
 std::optional<FitResult> fit(const correlate::Dataset& dataset,
                              bool polynomial) {
   if (dataset.points.size() < 4) return std::nullopt;
-  std::vector<std::vector<double>> rows;
+  std::vector<double> rows;
   std::vector<double> ys;
-  rows.reserve(dataset.points.size());
   for (const auto& p : dataset.points) {
     if (p.xs.size() != dataset.n_vars) continue;  // corrupt sample
-    rows.push_back(basis_row(p.xs, polynomial));
+    append_basis_row(p.xs, polynomial, rows);
     ys.push_back(p.y);
   }
-  if (rows.size() < 4) return std::nullopt;
-  const auto solution = solve_least_squares(rows, ys);
+  if (ys.size() < 4) return std::nullopt;
+  const auto solution =
+      solve_least_squares(rows, rows.size() / ys.size(), ys);
   if (!solution) return std::nullopt;
 
   FitResult result;
@@ -146,7 +148,8 @@ std::optional<FitResult> fit(const correlate::Dataset& dataset,
 }  // namespace
 
 double FitResult::predict(std::span<const double> xs) const {
-  const auto row = basis_row(xs, polynomial);
+  std::vector<double> row;
+  append_basis_row(xs, polynomial, row);
   double y = 0.0;
   for (std::size_t i = 0; i < row.size() && i < coefficients.size(); ++i) {
     y += coefficients[i] * row[i];

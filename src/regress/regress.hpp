@@ -41,10 +41,12 @@ double max_relative_error(
     const FitResult& result, const correlate::Dataset& dataset,
     const std::function<double(std::span<const double>)>& truth);
 
-/// Least-squares solve of (A^T A) b = A^T y with partial pivoting;
-/// exposed for tests. Rows of `rows` are the design-matrix rows.
+/// Least-squares solve of (A^T A) b = A^T y with partial pivoting.
+/// `rows` is the design matrix A, row-major: one row of `n_cols` values
+/// per entry of `ys`. Returns nullopt for no rows, a size that is not
+/// ys.size() rows of `n_cols`, or a singular system.
 std::optional<std::vector<double>> solve_least_squares(
-    const std::vector<std::vector<double>>& rows,
-    const std::vector<double>& ys);
+    std::span<const double> rows, std::size_t n_cols,
+    std::span<const double> ys);
 
 }  // namespace dpr::regress

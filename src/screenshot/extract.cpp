@@ -1,7 +1,7 @@
 #include "screenshot/extract.hpp"
 
+#include <algorithm>
 #include <cstdlib>
-#include <map>
 
 namespace dpr::screenshot {
 
@@ -22,31 +22,48 @@ std::string strip_unit(const std::string& label) {
 
 std::vector<UiSample> extract_samples(const cps::VideoRecording& video,
                                       cps::OcrEngine& ocr) {
+  // Row -> (label text, value text) association by layout geometry: one
+  // slot per layout row, reused across frames. A later region of the same
+  // row and side overwrites the earlier one.
+  struct RowSlot {
+    std::string label;
+    std::string value;
+    bool has_label = false;
+    bool has_value = false;
+  };
+  std::vector<RowSlot> slots;
   std::vector<UiSample> samples;
   for (const auto& frame : video.frames) {
-    // Row -> (label text, value text) association by layout geometry.
-    std::map<int, std::string> labels;
-    std::map<int, std::string> values;
+    std::size_t n_rows = 0;
     for (const auto& region : frame.text_regions) {
       if (region.row < 0) continue;
-      const std::string text = ocr.read(region.truth, region.font_px);
+      const auto row = static_cast<std::size_t>(region.row);
+      n_rows = std::max(n_rows, row + 1);
+      if (n_rows > slots.size()) slots.resize(n_rows);
+      std::string text = ocr.read(region.truth, region.font_px);
       // Value regions sit in the right half of the screen; labels left.
+      RowSlot& slot = slots[row];
       if (region.bounds.x > frame.width / 2) {
-        values[region.row] = text;
+        slot.value = std::move(text);
+        slot.has_value = true;
       } else if (!region.clickable) {
-        labels[region.row] = text;
+        slot.label = std::move(text);
+        slot.has_label = true;
       }
     }
-    for (const auto& [row, value_text] : values) {
-      const auto label_it = labels.find(row);
-      if (label_it == labels.end()) continue;
-      UiSample sample;
-      sample.timestamp = frame.timestamp;
-      sample.row = row;
-      sample.name = strip_unit(label_it->second);
-      sample.value_text = value_text;
-      sample.value = parse_value(value_text);
-      samples.push_back(std::move(sample));
+    for (std::size_t row = 0; row < n_rows; ++row) {
+      RowSlot& slot = slots[row];
+      if (slot.has_value && slot.has_label) {
+        UiSample sample;
+        sample.timestamp = frame.timestamp;
+        sample.row = static_cast<int>(row);
+        sample.name = strip_unit(slot.label);
+        sample.value = parse_value(slot.value);
+        sample.value_text = std::move(slot.value);
+        samples.push_back(std::move(sample));
+      }
+      slot.has_label = false;
+      slot.has_value = false;
     }
   }
   return samples;

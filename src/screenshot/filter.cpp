@@ -2,7 +2,8 @@
 
 #include <cctype>
 #include <cmath>
-#include <map>
+#include <string_view>
+#include <unordered_map>
 
 #include "util/stats.hpp"
 
@@ -10,39 +11,42 @@ namespace dpr::screenshot {
 
 namespace {
 
-bool name_has(const std::string& name, const char* keyword) {
-  // Case-insensitive substring.
-  std::string lower_name;
-  lower_name.reserve(name.size());
-  for (char c : name) {
-    lower_name.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  std::string lower_key(keyword);
-  for (char& c : lower_key) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return lower_name.find(lower_key) != std::string::npos;
-}
+// The type keywords in precedence order, lower case; a name takes the
+// range of the first keyword it contains (case-insensitively).
+struct Keyword {
+  std::string_view word;
+  RangeLimits limits;
+};
+
+constexpr RangeLimits kRpm{0.0, 20000.0};
+constexpr RangeLimits kSpeed{0.0, 400.0};
+constexpr RangeLimits kTravel{-5.0, 150.0};
+
+constexpr Keyword kKeywords[] = {
+    {"engine speed", kRpm},
+    {"rpm", kRpm},
+    {"wheel speed", kSpeed},
+    {"vehicle speed", kSpeed},
+    {"temperature", {-80.0, 1200.0}},
+    {"voltage", {0.0, 100.0}},
+    {"pressure", {-10.0, 5000.0}},
+    {"angle", {-900.0, 900.0}},
+    {"position", kTravel},
+    {"level", kTravel},
+    {"throttle", kTravel},
+    {"torque", {-2000.0, 2000.0}},
+};
 
 }  // namespace
 
-RangeLimits range_for(const std::string& name) {
-  if (name_has(name, "engine speed") || name_has(name, "rpm")) {
-    return {0.0, 20000.0};
+RangeLimits range_for(std::string_view name) {
+  std::string lower(name);
+  for (char& c : lower) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
-  if (name_has(name, "wheel speed") || name_has(name, "vehicle speed")) {
-    return {0.0, 400.0};
+  for (const Keyword& keyword : kKeywords) {
+    if (lower.find(keyword.word) != std::string::npos) return keyword.limits;
   }
-  if (name_has(name, "temperature")) return {-80.0, 1200.0};
-  if (name_has(name, "voltage")) return {0.0, 100.0};
-  if (name_has(name, "pressure")) return {-10.0, 5000.0};
-  if (name_has(name, "angle")) return {-900.0, 900.0};
-  if (name_has(name, "position") || name_has(name, "level") ||
-      name_has(name, "throttle")) {
-    return {-5.0, 150.0};
-  }
-  if (name_has(name, "torque")) return {-2000.0, 2000.0};
   return {-1e7, 1e7};  // generic guard against catastrophic misreads
 }
 
@@ -63,49 +67,57 @@ std::vector<UiSample> filter_samples(std::vector<UiSample> samples,
                                      FilterStats* stats, double mad_k) {
   FilterStats local;
 
-  // Stage 1: range check on numeric samples.
-  std::vector<UiSample> staged;
-  staged.reserve(samples.size());
-  for (auto& sample : samples) {
-    if (!sample.value) {
-      staged.push_back(std::move(sample));
-      continue;
-    }
+  // One group per distinct signal name, keyed by views of the samples'
+  // own names (nothing below moves a sample until the final compaction).
+  struct Group {
+    RangeLimits limits;
+    std::vector<std::size_t> in_range;  // sample indices, ascending
+  };
+  std::unordered_map<std::string_view, std::size_t> group_of;
+  std::vector<Group> groups;
+  std::vector<char> keep(samples.size(), 1);
+
+  // Stage 1: range check on numeric samples, by the group's limits.
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const UiSample& sample = samples[i];
+    if (!sample.value) continue;
     ++local.numeric_samples;
-    const RangeLimits limits = range_for(sample.name);
-    if (*sample.value < limits.lo || *sample.value > limits.hi) {
+    const auto [it, fresh] = group_of.try_emplace(sample.name, groups.size());
+    if (fresh) groups.push_back({range_for(sample.name), {}});
+    Group& group = groups[it->second];
+    if (*sample.value < group.limits.lo || *sample.value > group.limits.hi) {
       ++local.range_rejected;
+      keep[i] = 0;
       continue;
     }
-    staged.push_back(std::move(sample));
+    group.in_range.push_back(i);
   }
 
-  // Stage 2: per-signal outlier removal.
-  std::map<std::string, std::vector<std::size_t>> by_name;
-  for (std::size_t i = 0; i < staged.size(); ++i) {
-    if (staged[i].value) by_name[staged[i].name].push_back(i);
-  }
-  std::vector<bool> keep(staged.size(), true);
-  for (const auto& [name, indices] : by_name) {
-    std::vector<double> values;
-    values.reserve(indices.size());
-    for (std::size_t i : indices) values.push_back(*staged[i].value);
+  // Stage 2: per-signal outlier removal over one reused values buffer.
+  std::vector<double> values;
+  for (const Group& group : groups) {
+    values.clear();
+    for (std::size_t i : group.in_range) values.push_back(*samples[i].value);
     const auto mask = outlier_mask(values, mad_k);
-    for (std::size_t j = 0; j < indices.size(); ++j) {
+    for (std::size_t j = 0; j < group.in_range.size(); ++j) {
       if (!mask[j]) {
-        keep[indices[j]] = false;
+        keep[group.in_range[j]] = 0;
         ++local.outlier_rejected;
       }
     }
   }
 
-  std::vector<UiSample> out;
-  out.reserve(staged.size());
-  for (std::size_t i = 0; i < staged.size(); ++i) {
-    if (keep[i]) out.push_back(std::move(staged[i]));
+  // Compact in place, keeping sample order.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (!keep[i]) continue;
+    if (kept != i) samples[kept] = std::move(samples[i]);
+    ++kept;
   }
+  samples.erase(samples.begin() + static_cast<std::ptrdiff_t>(kept),
+                samples.end());
   if (stats) *stats = local;
-  return out;
+  return samples;
 }
 
 }  // namespace dpr::screenshot

@@ -7,7 +7,7 @@
 //             measured ESV cannot change greatly within seconds, so values
 //             far from the series median (in MAD units) are OCR artifacts.
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "screenshot/extract.hpp"
@@ -19,8 +19,9 @@ struct RangeLimits {
   double hi = 1e9;
 };
 
-/// Plausible physical range for an ESV, keyed on its (OCR'd) name.
-RangeLimits range_for(const std::string& name);
+/// Plausible physical range for an ESV, keyed on its (OCR'd) name: the
+/// range of the first type keyword the name contains, ignoring case.
+RangeLimits range_for(std::string_view name);
 
 struct FilterStats {
   std::size_t numeric_samples = 0;
@@ -28,8 +29,9 @@ struct FilterStats {
   std::size_t outlier_rejected = 0;
 };
 
-/// Apply both stages per signal name. Non-numeric samples (enum states)
-/// pass through untouched. `mad_k` is the outlier cut in MAD units.
+/// Apply both stages per signal name, keeping the survivors' order.
+/// Non-numeric samples (enum states) pass through untouched. `mad_k` is
+/// the outlier cut in MAD units.
 std::vector<UiSample> filter_samples(std::vector<UiSample> samples,
                                      FilterStats* stats = nullptr,
                                      double mad_k = 10.0);

@@ -14,33 +14,12 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
   has_cached_normal_ = false;
-}
-
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high-quality bits -> double in [0,1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
@@ -91,12 +70,6 @@ double Rng::normal() {
 
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
-}
-
-bool Rng::chance(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 Rng Rng::fork() { return Rng((*this)() ^ 0xD1B54A32D192ED03ULL); }

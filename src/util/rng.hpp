@@ -26,10 +26,26 @@ class Rng {
     return std::numeric_limits<result_type>::max();
   }
 
-  result_type operator()();
+  // The draw, uniform() and chance() are defined here so hot loops (one
+  // OCR draw per glyph) inline them; out of line, the call cost more than
+  // the xoshiro arithmetic.
+  result_type operator()() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 high-quality bits -> double in [0,1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -44,7 +60,11 @@ class Rng {
   double normal(double mean, double stddev);
 
   /// Bernoulli trial: true with probability p (clamped to [0,1]).
-  bool chance(double p);
+  bool chance(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
 
   /// Derive an independent child generator; used to give each simulated
   /// component its own stream without correlated draws.
@@ -63,6 +83,10 @@ class Rng {
   void restore(const State& state);
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4]{};
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

@@ -25,18 +25,30 @@ correlate::Dataset make_dataset(
 }
 
 TEST(LeastSquares, SolvesExactSystem) {
-  // y = 2 + 3x.
-  std::vector<std::vector<double>> rows{{1, 0}, {1, 1}, {1, 2}, {1, 3}};
-  std::vector<double> ys{2, 5, 8, 11};
-  const auto sol = solve_least_squares(rows, ys);
+  // y = 2 + 3x; rows {1, x}, row-major.
+  const std::vector<double> rows{1, 0, 1, 1, 1, 2, 1, 3};
+  const std::vector<double> ys{2, 5, 8, 11};
+  const auto sol = solve_least_squares(rows, 2, ys);
   ASSERT_TRUE(sol.has_value());
   EXPECT_NEAR((*sol)[0], 2.0, 1e-6);
   EXPECT_NEAR((*sol)[1], 3.0, 1e-6);
 }
 
 TEST(LeastSquares, RejectsEmptyAndMismatched) {
-  EXPECT_EQ(solve_least_squares({}, {}), std::nullopt);
-  EXPECT_EQ(solve_least_squares({{1.0}}, {1.0, 2.0}), std::nullopt);
+  EXPECT_EQ(solve_least_squares({}, 1, {}), std::nullopt);
+  const std::vector<double> one_row{1.0};
+  const std::vector<double> two_ys{1.0, 2.0};
+  EXPECT_EQ(solve_least_squares(one_row, 1, two_ys), std::nullopt);
+}
+
+TEST(LeastSquares, RejectsRaggedRows) {
+  // Five values cannot be rows of two columns; reading them as such
+  // would run past the end.
+  const std::vector<double> rows{1, 0, 1, 1, 1};
+  const std::vector<double> ys{2, 5, 8};
+  EXPECT_EQ(solve_least_squares(rows, 2, ys), std::nullopt);
+  const std::vector<double> short_rows{1, 0, 1, 1};
+  EXPECT_EQ(solve_least_squares(short_rows, 2, ys), std::nullopt);
 }
 
 TEST(Linear, RecoversAffineFormula) {

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdio>
+#include <iterator>
+#include <string>
+
 #include "cps/camera.hpp"
 #include "cps/ocr.hpp"
 #include "screenshot/extract.hpp"
 #include "screenshot/filter.hpp"
+#include "screenshot_oracle.hpp"
 
 namespace dpr::screenshot {
 namespace {
@@ -139,6 +145,255 @@ TEST(Filter, SeparateSignalsFilteredIndependently) {
   // pressure series.
   const auto kept = filter_samples(samples);
   EXPECT_EQ(kept.size(), 20u);
+}
+
+// --- Differential tests against the pre-grouping stage --------------------
+// screenshot_oracle.hpp keeps the stage's former bodies; the production
+// stage must reproduce their samples, order, FilterStats and OCR draws.
+
+// Mixed case, substrings of several keywords ("Oil Level Position" holds
+// both "level" and "position"), unit suffixes, non-ASCII bytes, and names
+// that match no keyword.
+const char* const kNames[] = {
+    "Engine RPM",
+    "Engine Speed (rpm)",
+    "engine SPEED",
+    "Oil Level Position",
+    "Vehicle Speed (km/h)",
+    "WHEEL SPEED FL",
+    "Coolant Temperature",
+    "Battery Voltage (V)",
+    "Boost Pressure (kPa)",
+    "Steering Angle",
+    "Throttle Position (%)",
+    "Fuel Level",
+    "Engine Torque (Nm)",
+    "Door Status",
+    "Something Exotic",
+    "Intake Temp (\xc2\xb0" "C)",
+    "Rpmeter",
+    "",
+    "Lambda (x)",
+    "Torque Rpm Angle",
+};
+
+std::string random_number(util::Rng& rng) {
+  char buf[32];
+  switch (rng.uniform_int(0, 4)) {
+    case 0:
+      std::snprintf(buf, sizeof buf, "%.1f", rng.uniform(-100.0, 300.0));
+      break;
+    case 1:
+      std::snprintf(buf, sizeof buf, "%.2f", rng.uniform(0.0, 9000.0));
+      break;
+    case 2:  // far outside every range
+      std::snprintf(buf, sizeof buf, "%.0f", rng.uniform(-3e7, 3e7));
+      break;
+    case 3:
+      std::snprintf(buf, sizeof buf, "%d",
+                    static_cast<int>(rng.uniform_int(-50, 50)));
+      break;
+    default:
+      std::snprintf(buf, sizeof buf, "%.3f", rng.uniform(-1.0, 1.0));
+      break;
+  }
+  return buf;
+}
+
+std::string random_value_text(util::Rng& rng) {
+  static const char* const kWords[] = {"ON", "OFF", "12.5x", "", "N/A",
+                                       "-", "1e3", " 42"};
+  if (rng.chance(0.25)) {
+    return kWords[rng.uniform_int(0, std::size(kWords) - 1)];
+  }
+  return random_number(rng);
+}
+
+/// A video whose frames carry random regions: negative rows, row gaps,
+/// several regions per row and side, clickable left-side regions, values
+/// without labels and labels without values, in random region order.
+cps::VideoRecording random_video(util::Rng& rng, int n_frames) {
+  cps::VideoRecording video;
+  for (int f = 0; f < n_frames; ++f) {
+    cps::Screenshot shot;
+    shot.timestamp = f * 250000 + rng.uniform_int(0, 999);
+    shot.width = rng.chance(0.5) ? 1000 : 999;
+    shot.height = 800;
+    const auto n_regions = rng.uniform_int(0, 30);
+    for (std::int64_t i = 0; i < n_regions; ++i) {
+      cps::TextRegion region;
+      region.row = static_cast<int>(rng.uniform_int(-3, 16));
+      const bool right = rng.chance(0.5);
+      // x == width / 2 is still the left half.
+      const int x = rng.chance(0.1) ? shot.width / 2
+                                    : (right ? 600 : 40);
+      region.bounds = {x, 60 + 40 * std::max(region.row, 0), 300, 30};
+      region.clickable = rng.chance(0.2);
+      region.font_px = static_cast<int>(rng.uniform_int(8, 40));
+      region.truth = right ? random_value_text(rng)
+                           : kNames[rng.uniform_int(0, std::size(kNames) - 1)];
+      shot.text_regions.push_back(std::move(region));
+    }
+    video.frames.push_back(std::move(shot));
+  }
+  return video;
+}
+
+/// Samples for a few names: constant series, series shorter than 4,
+/// smooth series with spikes and out-of-range misreads, and non-numeric
+/// samples, interleaved in random order.
+std::vector<UiSample> random_samples(util::Rng& rng) {
+  std::vector<UiSample> samples;
+  const auto n_signals = rng.uniform_int(0, 8);
+  for (std::int64_t s = 0; s < n_signals; ++s) {
+    const std::string name = kNames[rng.uniform_int(0, std::size(kNames) - 1)];
+    const auto shape = rng.uniform_int(0, 3);
+    const auto length = shape == 0 ? rng.uniform_int(0, 3)
+                                   : rng.uniform_int(4, 60);
+    const double base = rng.uniform(-50.0, 3000.0);
+    for (std::int64_t i = 0; i < length; ++i) {
+      UiSample sample;
+      sample.timestamp = i * 100000 + rng.uniform_int(0, 99);
+      sample.row = static_cast<int>(s);
+      sample.name = name;
+      if (rng.chance(0.1)) {
+        sample.value_text = "ON";
+      } else {
+        double v = shape == 1 ? base : base + rng.uniform(-5.0, 5.0) * i;
+        if (shape != 1 && rng.chance(0.08)) v *= rng.chance(0.5) ? 100 : -7;
+        if (shape == 1 && rng.chance(0.05)) v += 1000.0;
+        sample.value = v;
+        sample.value_text = std::to_string(v);
+      }
+      samples.push_back(std::move(sample));
+    }
+  }
+  for (std::size_t i = samples.size(); i > 1; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+    std::swap(samples[i - 1], samples[j]);
+  }
+  return samples;
+}
+
+void expect_same_samples(const std::vector<UiSample>& want,
+                         const std::vector<UiSample>& got,
+                         const std::string& where) {
+  ASSERT_EQ(want.size(), got.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(where + " sample " + std::to_string(i));
+    EXPECT_EQ(want[i].timestamp, got[i].timestamp);
+    EXPECT_EQ(want[i].row, got[i].row);
+    EXPECT_EQ(want[i].name, got[i].name);
+    EXPECT_EQ(want[i].value_text, got[i].value_text);
+    ASSERT_EQ(want[i].value.has_value(), got[i].value.has_value());
+    if (want[i].value) {
+      EXPECT_EQ(*want[i].value, *got[i].value);
+    }
+  }
+}
+
+void expect_same_stats(const FilterStats& want, const FilterStats& got,
+                       const std::string& where) {
+  EXPECT_EQ(want.numeric_samples, got.numeric_samples) << where;
+  EXPECT_EQ(want.range_rejected, got.range_rejected) << where;
+  EXPECT_EQ(want.outlier_rejected, got.outlier_rejected) << where;
+}
+
+TEST(Differential, RangeForMatchesOracle) {
+  for (const char* name : kNames) {
+    const RangeLimits want = oracle::range_for(name);
+    const RangeLimits got = range_for(name);
+    EXPECT_EQ(want.lo, got.lo) << name;
+    EXPECT_EQ(want.hi, got.hi) << name;
+  }
+  // Random spellings built from keyword fragments in random case.
+  static const char* const kParts[] = {"engine", " ", "speed", "rpm", "wheel",
+                                       "vehicle", "temperature", "voltage",
+                                       "pressure", "angle", "position",
+                                       "level", "throttle", "torque", "x",
+                                       "(", ")", "sp", "eed"};
+  util::Rng rng(0x5C4EE);
+  for (int i = 0; i < 5000; ++i) {
+    std::string name;
+    const auto n_parts = rng.uniform_int(0, 5);
+    for (std::int64_t p = 0; p < n_parts; ++p) {
+      name += kParts[rng.uniform_int(0, std::size(kParts) - 1)];
+    }
+    for (char& c : name) {
+      if (rng.chance(0.3)) c = static_cast<char>(std::toupper(c));
+    }
+    const RangeLimits want = oracle::range_for(name);
+    const RangeLimits got = range_for(name);
+    ASSERT_EQ(want.lo, got.lo) << '"' << name << '"';
+    ASSERT_EQ(want.hi, got.hi) << '"' << name << '"';
+  }
+}
+
+TEST(Differential, ExtractMatchesOracleAndDrawsTheSameOcr) {
+  util::Rng rng(0xE47AC7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto video = random_video(rng, static_cast<int>(rng.uniform_int(0, 12)));
+    const std::uint64_t ocr_seed = rng();
+    // A noisy engine so misreads (and their extra draws) are frequent.
+    cps::OcrEngine want_ocr(util::Rng(ocr_seed), true, 40.0);
+    cps::OcrEngine got_ocr(util::Rng(ocr_seed), true, 40.0);
+    const auto want = oracle::extract_samples(video, want_ocr);
+    const auto got = extract_samples(video, got_ocr);
+    const std::string where = "trial " + std::to_string(trial);
+    expect_same_samples(want, got, where);
+    const auto want_state = want_ocr.rng_state();
+    const auto got_state = got_ocr.rng_state();
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(want_state.s[i], got_state.s[i]);
+    EXPECT_EQ(want_ocr.stats().strings_read, got_ocr.stats().strings_read);
+    EXPECT_EQ(want_ocr.stats().char_errors, got_ocr.stats().char_errors);
+
+    // And the whole stage, extraction then both filter stages.
+    FilterStats want_stats, got_stats;
+    const auto want_kept = oracle::filter_samples(want, &want_stats);
+    const auto got_kept = filter_samples(got, &got_stats);
+    expect_same_samples(want_kept, got_kept, where + " filtered");
+    expect_same_stats(want_stats, got_stats, where);
+  }
+}
+
+TEST(Differential, ExtractDuplicateRegionsLaterWins) {
+  cps::Screenshot shot = make_frame(1000, {{"Oil Pressure", "1.0"}});
+  cps::TextRegion label2 = shot.text_regions[0];
+  label2.truth = "Oil Temperature";
+  cps::TextRegion value2 = shot.text_regions[1];
+  value2.truth = "2.0";
+  cps::TextRegion clickable = label2;
+  clickable.truth = "Back";
+  clickable.clickable = true;  // a left-side button: read, never a label
+  shot.text_regions.push_back(label2);
+  shot.text_regions.push_back(value2);
+  shot.text_regions.push_back(clickable);
+  cps::VideoRecording video;
+  video.frames.push_back(shot);
+  cps::OcrEngine want_ocr(util::Rng(1), false), got_ocr(util::Rng(1), false);
+  const auto want = oracle::extract_samples(video, want_ocr);
+  const auto got = extract_samples(video, got_ocr);
+  expect_same_samples(want, got, "duplicates");
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].name, "Oil Temperature");
+  EXPECT_EQ(got[0].value_text, "2.0");
+  EXPECT_EQ(got_ocr.stats().strings_read, 5u);
+}
+
+TEST(Differential, FilterMatchesOracle) {
+  util::Rng rng(0xF117E5);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto samples = random_samples(rng);
+    const double mad_k = rng.chance(0.5) ? 10.0 : rng.uniform(0.5, 20.0);
+    FilterStats want_stats, got_stats;
+    const auto want = oracle::filter_samples(samples, &want_stats, mad_k);
+    const auto got = filter_samples(samples, &got_stats, mad_k);
+    const std::string where = "trial " + std::to_string(trial);
+    expect_same_samples(want, got, where);
+    expect_same_stats(want_stats, got_stats, where);
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 }  // namespace
