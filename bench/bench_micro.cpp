@@ -1,12 +1,14 @@
-// Micro-benchmarks (google-benchmark): protocol-stack, screenshot-analysis
-// and inference kernel throughput. Not a paper table — engineering numbers for the
-// library itself.
+// Micro-benchmarks (google-benchmark): protocol-stack, collect,
+// screenshot-analysis and inference kernel throughput. Not a paper table
+// — engineering numbers for the library itself.
 
 #include <benchmark/benchmark.h>
 
 #include "can/bus.hpp"
 #include "core/campaign.hpp"
+#include "cps/camera.hpp"
 #include "cps/ocr.hpp"
+#include "diagtool/tool.hpp"
 #include "gp/engine.hpp"
 #include "gp/kernels.hpp"
 #include "gp/program.hpp"
@@ -18,6 +20,7 @@
 #include "util/philox.hpp"
 #include "util/rng.hpp"
 #include "vehicle/generator.hpp"
+#include "vehicle/vehicle.hpp"
 #include "vwtp/vwtp.hpp"
 
 namespace {
@@ -223,18 +226,90 @@ void BM_BusDelivery(benchmark::State& state) {
 }
 BENCHMARK(BM_BusDelivery);
 
-// Screenshot analysis (§3.3) on one generated car's recorded UI video,
-// collected as fleetbench's traffic-only workload does (16 s window, no
-// inference). One iteration is one car.
+// One generated car collected as fleetbench's traffic-only workload does:
+// 16 s live window, no inference, no baselines.
+const vehicle::CarSpec& traffic_car() {
+  static const vehicle::CarSpec spec =
+      vehicle::generate_fleet(vehicle::GeneratorConfig{}, 1, 1).front();
+  return spec;
+}
+
+core::CampaignOptions traffic_options() {
+  core::CampaignOptions options;
+  options.live_window = 16 * util::kSecond;
+  options.run_inference = false;
+  options.run_baselines = false;
+  return options;
+}
+
+// Collect (Fig. 6 b) end to end: drive the tool, sniff the bus, film the
+// screen. One iteration is one car; building the campaign is not timed.
+void BM_CollectLive(benchmark::State& state) {
+  std::size_t frames = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::Campaign campaign(traffic_car(), traffic_options());
+    state.ResumeTiming();
+    campaign.collect();
+    frames = campaign.video().frames.size();
+    benchmark::DoNotOptimize(frames);
+  }
+  state.counters["frames"] = static_cast<double>(frames);
+}
+BENCHMARK(BM_CollectLive)->Unit(benchmark::kMillisecond);
+
+// One camera frame of a live data-stream screen (Car A's engine, every
+// row selected). Arg 0 films an unchanged screen, so the frame shares the
+// previous image; arg 1 films a screen a repaint just changed, so the
+// camera converts it. Stepping the tool to the next repaint is not timed.
+void BM_CameraCapture(benchmark::State& state) {
+  util::SimClock clock;
+  can::CanBus bus(clock);
+  vehicle::Vehicle vehicle(vehicle::CarId::kA, bus, clock);
+  diagtool::DiagnosticTool tool(
+      diagtool::profile_by_name(vehicle.spec().tool), vehicle, bus, clock);
+  cps::Camera camera(tool, util::DeviceClock{}, tool.profile().value_font_px);
+  const auto click = [&tool](const std::string& keyword) {
+    for (const auto& widget : tool.screen().widgets) {
+      if (widget.kind == diagtool::Widget::Kind::kButton &&
+          widget.text.find(keyword) != std::string::npos) {
+        return tool.click(widget.bounds.center_x(), widget.bounds.center_y());
+      }
+    }
+    return false;
+  };
+  click("Local Diagnostics");
+  click("Engine");
+  click("Read Data Stream");
+  while (click("[ ]")) {
+  }
+  click("Start");
+  tool.run_for(util::kSecond);
+
+  const bool repainted = state.range(0) == 1;
+  std::size_t regions = 0;
+  for (auto _ : state) {
+    if (repainted) {
+      state.PauseTiming();
+      const auto version = tool.screen_version();
+      while (tool.screen_version() == version) {
+        tool.run_for(25 * util::kMillisecond);
+      }
+      state.ResumeTiming();
+    }
+    const auto shot = camera.capture(clock.now());
+    regions = shot.text_regions().size();
+    benchmark::DoNotOptimize(shot.image.get());
+  }
+  state.counters["regions"] = static_cast<double>(regions);
+}
+BENCHMARK(BM_CameraCapture)->Arg(0)->Arg(1);
+
+// Screenshot analysis (§3.3) on traffic_car()'s recorded UI video. One
+// iteration is one car.
 const cps::VideoRecording& traffic_video() {
   static const cps::VideoRecording video = [] {
-    core::CampaignOptions options;
-    options.live_window = 16 * util::kSecond;
-    options.run_inference = false;
-    options.run_baselines = false;
-    core::Campaign campaign(
-        vehicle::generate_fleet(vehicle::GeneratorConfig{}, 1, 1).front(),
-        options);
+    core::Campaign campaign(traffic_car(), traffic_options());
     campaign.collect();
     return campaign.video();
   }();

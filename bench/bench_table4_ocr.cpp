@@ -4,6 +4,11 @@
 // 425/500 (85.0%). A frame counts as correct when every live-value glyph
 // is recognized exactly. The resolution dependence comes from the glyph
 // height of each tool's screen.
+//
+// Exits nonzero unless this build reads exactly AUTEL 490/500 and LAUNCH
+// 433/500: the OCR stream is deterministic, so any other count means it
+// moved. A deliberate OCR change updates these counts together with the
+// golden fixtures.
 
 #include <cstdio>
 
@@ -57,7 +62,7 @@ OcrRun run_tool(diagtool::ToolKind kind, std::size_t frames) {
     const auto shot = camera.capture(clock.now());
     bool frame_correct = true;
     bool has_values = false;
-    for (const auto& region : shot.text_regions) {
+    for (const auto& region : shot.text_regions()) {
       if (region.row < 0 || region.bounds.x <= shot.width / 2) continue;
       has_values = true;
       if (ocr.read(region.truth, region.font_px) != region.truth) {
@@ -80,13 +85,23 @@ int main() {
   std::printf("%-16s %-12s %-14s %-10s\n", "Diagnostic Tool", "#Total Pics",
               "#Correct Pics", "Precision");
   dpr::bench::print_rule(56);
-  for (const auto kind :
-       {dpr::diagtool::ToolKind::kAutel919,
-        dpr::diagtool::ToolKind::kLaunchX431}) {
+  struct Expected {
+    dpr::diagtool::ToolKind kind;
+    std::size_t correct;
+  };
+  bool ok = true;
+  for (const auto& [kind, want_correct] :
+       {Expected{dpr::diagtool::ToolKind::kAutel919, 490},
+        Expected{dpr::diagtool::ToolKind::kLaunchX431, 433}}) {
     const auto profile = dpr::diagtool::profile_for(kind);
     const auto run = run_tool(kind, 500);
     std::printf("%-16s %-12zu %-14zu %s\n", profile.name.c_str(), run.total,
                 run.correct, dpr::bench::percent(run.correct, run.total).c_str());
+    if (run.total != 500 || run.correct != want_correct) {
+      std::fprintf(stderr, "FAIL: %s read %zu/%zu frames, expected %zu/500\n",
+                   profile.name.c_str(), run.correct, run.total, want_correct);
+      ok = false;
+    }
   }
-  return 0;
+  return ok ? 0 : 1;
 }

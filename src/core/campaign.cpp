@@ -990,7 +990,18 @@ void fields(Ar& ar, cps::IconRegion& v) {
 }
 template <class Ar>
 void fields(Ar& ar, cps::Screenshot& v) {
-  ar(v.timestamp, v.width, v.height, v.text_regions, v.icon_regions);
+  // Frames share images in memory but each frame travels with its own
+  // regions inline, so the wire format does not depend on the sharing.
+  ar(v.timestamp, v.width, v.height);
+  if constexpr (Ar::kLoading) {
+    auto image = std::make_shared<cps::ScreenImage>();
+    ar(image->text_regions, image->icon_regions);
+    v.image = std::move(image);
+  } else {
+    static const cps::ScreenImage kBlank;
+    const cps::ScreenImage& image = v.image ? *v.image : kBlank;
+    ar(image.text_regions, image.icon_regions);
+  }
 }
 template <class Ar>
 void fields(Ar& ar, cps::VideoRecording& v) {

@@ -282,6 +282,9 @@ class Campaign {
   /// writes. `schema` must be kCheckpointPayloadSchema (the only layout
   /// this build reads); anything else throws std::invalid_argument.
   util::Bytes serialize_state_versioned(std::uint32_t schema) const;
+  /// Decode a kCheckpointPayloadSchema payload; false (state untouched)
+  /// unless it parses completely.
+  bool restore_state(const util::Bytes& payload);
   /// The options digest run() keys checkpoints on.
   std::uint64_t checkpoint_options_digest() const;
   /// The 64-bit car key run() checkpoints under (the car's spec digest).
@@ -366,9 +369,6 @@ class Campaign {
 
   std::uint64_t options_digest() const;
   util::Bytes serialize_state() const;
-  /// Decode a kCheckpointPayloadSchema payload; false (state untouched)
-  /// unless it parses completely.
-  bool restore_state(const util::Bytes& payload);
 
   std::vector<Association> build_associations(
       const frames::ExtractionResult& extraction,

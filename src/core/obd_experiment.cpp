@@ -137,7 +137,7 @@ ObdExperimentReport run_obd_experiment(ObdExperimentOptions options) {
     std::snprintf(buf, sizeof buf, "01 %02X", pid);
     finding.request_message = buf;
 
-    const auto spec = obd::find_pid(pid);
+    const obd::PidSpec* spec = obd::find_pid(pid);
     if (spec) finding.truth_formula = "Y = " + spec->formula;
 
     finding.dataset = correlate::build_dataset(by_pid[pid].xs, ys, offset);
@@ -145,7 +145,7 @@ ObdExperimentReport run_obd_experiment(ObdExperimentOptions options) {
     config.seed ^= pid;
     finding.gp = gp::infer_formula(finding.dataset, config);
     if (finding.gp && spec) {
-      const auto truth = [&spec](std::span<const double> xs) {
+      const auto truth = [spec](std::span<const double> xs) {
         std::vector<std::uint8_t> bytes;
         for (double x : xs) bytes.push_back(static_cast<std::uint8_t>(x));
         return spec->decode(bytes);

@@ -84,8 +84,8 @@ std::optional<AlignmentResult> align_with_obd(
   for (const auto& msg : messages) {
     // Only positive mode-01 responses anchor the alignment.
     if (msg.payload.size() < 3 || msg.payload[0] != 0x41) continue;
-    const auto spec = obd::find_pid(msg.payload[1]);
-    if (!spec || msg.payload.size() < 2 + spec->data_bytes) continue;
+    const obd::PidSpec* spec = obd::find_pid(msg.payload[1]);
+    if (spec == nullptr || msg.payload.size() < 2 + spec->data_bytes) continue;
     const double real_value = spec->decode(std::span<const std::uint8_t>(
         msg.payload.data() + 2, spec->data_bytes));
 

@@ -25,8 +25,8 @@ UiAnalyzer::UiAnalyzer(OcrEngine& ocr, util::Rng rng)
 
 std::vector<RecognizedWidget> UiAnalyzer::recognize(const Screenshot& shot) {
   std::vector<RecognizedWidget> out;
-  out.reserve(shot.text_regions.size());
-  for (const auto& region : shot.text_regions) {
+  out.reserve(shot.text_regions().size());
+  for (const auto& region : shot.text_regions()) {
     RecognizedWidget w;
     w.text = ocr_.read(region.truth, region.font_px);
     w.center = Point{region.bounds.center_x(), region.bounds.center_y()};
@@ -82,7 +82,7 @@ double UiAnalyzer::icon_similarity(const std::string& detected,
 std::optional<Point> UiAnalyzer::find_icon(const Screenshot& shot,
                                            const std::string& reference,
                                            double threshold) {
-  for (const auto& icon : shot.icon_regions) {
+  for (const auto& icon : shot.icon_regions()) {
     if (icon_similarity(icon.icon_identity, reference) >= threshold) {
       return Point{icon.bounds.center_x(), icon.bounds.center_y()};
     }

@@ -8,7 +8,15 @@
 // produce) plus text-less widget boxes (Canny-edge candidates). The
 // regions carry the ground-truth glyphs, which only the OCR engine is
 // allowed to look at — everything downstream consumes OCR output.
+//
+// The regions live in a ScreenImage that frames share: a camera converts
+// the tool's screen only when the tool reports a new screen version, and
+// hands every later frame of that version the same image. An image is
+// immutable once built, so a frame keeps showing what it recorded.
 
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,18 +32,38 @@ struct TextRegion {
   int font_px = 24;
   int row = -1;        // layout row (derived from y geometry)
   bool clickable = false;
+
+  bool operator==(const TextRegion&) const = default;
 };
 
 struct IconRegion {
   diagtool::Rect bounds;
   std::string icon_identity;  // matched against reference pictures
+
+  bool operator==(const IconRegion&) const = default;
+};
+
+/// The regions of one screen version, in widget order.
+struct ScreenImage {
+  std::vector<TextRegion> text_regions;
+  std::vector<IconRegion> icon_regions;
 };
 
 struct Screenshot {
   util::SimTime timestamp = 0;  // camera device-clock time
   int width = 0, height = 0;
-  std::vector<TextRegion> text_regions;
-  std::vector<IconRegion> icon_regions;
+  /// Shared with every other frame of the same screen version; null
+  /// reads as a screen with no regions.
+  std::shared_ptr<const ScreenImage> image;
+
+  std::span<const TextRegion> text_regions() const {
+    return image ? std::span<const TextRegion>(image->text_regions)
+                 : std::span<const TextRegion>();
+  }
+  std::span<const IconRegion> icon_regions() const {
+    return image ? std::span<const IconRegion>(image->icon_regions)
+                 : std::span<const IconRegion>();
+  }
 };
 
 class Camera {
@@ -44,8 +72,11 @@ class Camera {
   Camera(const diagtool::DiagnosticTool& tool, util::DeviceClock device_clock,
          int value_font_px);
 
-  /// Take one screenshot of the tool's current screen.
-  Screenshot capture(util::SimTime global_now) const;
+  /// Take one screenshot of the tool's current screen. Converts the
+  /// screen into a new image only when the tool's screen version moved
+  /// since this camera's last capture; otherwise the frame shares the
+  /// previous image.
+  Screenshot capture(util::SimTime global_now);
 
   const util::DeviceClock& device_clock() const { return device_clock_; }
 
@@ -53,6 +84,8 @@ class Camera {
   const diagtool::DiagnosticTool& tool_;
   util::DeviceClock device_clock_;
   int value_font_px_;
+  std::uint64_t image_version_ = 0;
+  std::shared_ptr<const ScreenImage> image_;
 };
 
 /// A recorded UI video: timestamped frames, as produced by camera b under

@@ -26,6 +26,11 @@ std::string fixed1(double v) {
   return buf;
 }
 
+// A data-stream row's label: the signal name, then its unit if it has one.
+std::string row_label(const std::string& name, const std::string& unit) {
+  return unit.empty() ? name : name + " (" + unit + ")";
+}
+
 }  // namespace
 
 DiagnosticTool::DiagnosticTool(ToolProfile profile,
@@ -250,8 +255,7 @@ void DiagnosticTool::build_rows(std::size_t ecu_index) {
   const auto& ecu_spec = vehicle_.spec().ecus.at(ecu_index);
   for (const auto& sig : ecu_spec.uds_signals) {
     Row row;
-    row.name = sig.name;
-    row.unit = sig.unit;
+    row.label = row_label(sig.name, sig.unit);
     row.is_enum = sig.formula.is_enum();
     row.is_kwp = false;
     row.ecu_index = ecu_index;
@@ -264,8 +268,7 @@ void DiagnosticTool::build_rows(std::size_t ecu_index) {
     for (std::size_t i = 0; i < block.esvs.size(); ++i) {
       const auto& esv = block.esvs[i];
       Row row;
-      row.name = esv.name;
-      row.unit = esv.unit;
+      row.label = row_label(esv.name, esv.unit);
       row.is_enum = esv.is_enum;
       row.is_kwp = true;
       row.ecu_index = ecu_index;
@@ -695,10 +698,15 @@ void DiagnosticTool::run_for(util::SimTime duration) {
     if (bus_.lifecycle_enabled()) bus_.deliver_pending();
     // The screen is a pure function of tool state, and inside this loop
     // the only state that can change between steps is a repaint landing —
-    // clicks and mode changes rebuild on their own. So rebuild exactly
-    // when apply_pending changed something (legacy shim: every step).
+    // clicks and mode changes rebuild on their own. So a landed repaint
+    // rewrites only the value widgets' texts (legacy shim: rebuild the
+    // whole screen every step).
     const bool repainted = apply_pending(clock_.now());
-    if (repainted || legacy_ui_) build_screen();
+    if (legacy_ui_) {
+      build_screen();
+    } else if (repainted) {
+      repaint_values();
+    }
   }
 }
 
@@ -774,7 +782,26 @@ void DiagnosticTool::enter_ecu(std::size_t index) {
   connection(index);  // open the transport (handshake traffic, if any)
 }
 
+void DiagnosticTool::repaint_values() {
+  // Value widgets exist only in the two live views; each names its source
+  // row, an index into obd_rows_ (OBD view) or rows_ (data stream).
+  bool changed = false;
+  for (auto& widget : screen_.widgets) {
+    if (widget.kind != Widget::Kind::kValueText) continue;
+    const auto row = static_cast<std::size_t>(widget.row);
+    const std::string& text = mode_ == Mode::kObdLive
+                                  ? obd_rows_[row].value_text
+                                  : rows_[row].value_text;
+    if (widget.text != text) {
+      widget.text = text;
+      changed = true;
+    }
+  }
+  if (changed) ++screen_version_;
+}
+
 void DiagnosticTool::build_screen() {
+  ++screen_version_;
   Screen s;
   s.width = profile_.screen_width;
   s.height = profile_.screen_height;
@@ -850,17 +877,15 @@ void DiagnosticTool::build_screen() {
       for (std::size_t i = begin; i < end; ++i) {
         const auto& row = rows_[i];
         const int ry = 60 + row_h * static_cast<int>(i - begin);
-        std::string label = row.name;
-        if (!row.unit.empty()) label += " (" + row.unit + ")";
         if (!live) {
           s.widgets.push_back(
               Widget{Widget::Kind::kButton,
-                     (row.selected ? "[x] " : "[ ] ") + label,
+                     (row.selected ? "[x] " : "[ ] ") + row.label,
                      Rect{margin, ry, s.width * 6 / 10, row_h - 4},
                      "row:" + std::to_string(i), "", static_cast<int>(i)});
         } else {
           s.widgets.push_back(Widget{
-              Widget::Kind::kLabel, label,
+              Widget::Kind::kLabel, row.label,
               Rect{margin, ry, s.width * 5 / 10, row_h - 4}, "", "",
               static_cast<int>(i)});
           if (row.selected) {

@@ -93,11 +93,18 @@ class DiagnosticTool {
 
   const ToolProfile& profile() const { return profile_; }
 
-  /// The currently displayed screen (camera a / camera b view). The
-  /// reference is invalidated by any click(): the screen is rebuilt, so
-  /// widget references and iterators taken before a click() dangle. Pick
-  /// the target first, then click.
+  /// The currently displayed screen (camera a / camera b view). run_for()
+  /// patches repainted value texts into the existing value widgets in
+  /// place, so widget references survive it and only their text changes
+  /// (unless set_legacy_ui(true), which rebuilds on every step). Any
+  /// click() rebuilds the screen, so widget references and iterators taken
+  /// before a click() dangle: pick the target first, then click.
   const Screen& screen() const { return screen_; }
+
+  /// Bumped by every change to screen(): each rebuild, and each run_for()
+  /// step whose repaint changed a displayed value. Equal versions mean an
+  /// identical screen, which lets cameras share one image between frames.
+  std::uint64_t screen_version() const { return screen_version_; }
 
   /// Robotic-clicker entry point: click at pixel coordinates.
   /// Returns true if a widget was hit.
@@ -154,11 +161,11 @@ class DiagnosticTool {
                  util::CounterRng jitter);
   bool nm_enabled() const { return nm_enabled_; }
 
-  /// Reference shim for the run_for() hot loop: rebuild the screen and
-  /// scan every row's repaint timer on every 25 ms step, as the tool did
-  /// before the dirty-tracking fast path. The displayed screens are
-  /// identical either way (build_screen is a pure function of tool state,
-  /// and the fast path rebuilds whenever a repaint lands); kept for
+  /// Reference shim for the run_for() hot loop: rebuild the whole screen
+  /// and scan every row's repaint timer on every 25 ms step, as the tool
+  /// did before dirty tracking and value-only repaints. The displayed
+  /// screens are identical either way (build_screen is a pure function of
+  /// tool state, and inside run_for only value texts can change); kept for
   /// equivalence tests and old-vs-new benchmarks.
   void set_legacy_ui(bool legacy) { legacy_ui_ = legacy; }
   bool legacy_ui() const { return legacy_ui_; }
@@ -166,8 +173,7 @@ class DiagnosticTool {
  private:
   /// One displayed signal.
   struct Row {
-    std::string name;
-    std::string unit;
+    std::string label;              // "name (unit)", formatted once
     bool is_enum = false;
     bool is_kwp = false;
     std::size_t ecu_index = 0;
@@ -192,13 +198,16 @@ class DiagnosticTool {
   };
 
   void build_screen();
+  /// Copy each value widget's row text into the widget; bumps the screen
+  /// version when any displayed text changed.
+  void repaint_values();
   void enter_ecu(std::size_t index);
   void build_rows(std::size_t ecu_index);
   Connection& connection(std::size_t ecu_index);
   void poll_live_rows();
-  /// Land due repaints; returns whether any value text changed (i.e. the
-  /// screen needs a rebuild). O(1) when no repaint is due yet, via the
-  /// next_pending_due_ watermark.
+  /// Land due repaints; returns whether any row's value text was rewritten
+  /// (i.e. the value widgets need a repaint). O(1) when no repaint is due
+  /// yet, via the next_pending_due_ watermark.
   bool apply_pending(util::SimTime now);
   /// Fold a newly scheduled repaint time into the watermark.
   void note_pending(util::SimTime at);
@@ -245,6 +254,7 @@ class DiagnosticTool {
   util::SimTime next_poll_at_ = 0;
   std::size_t poll_counter_ = 0;
   Screen screen_;
+  std::uint64_t screen_version_ = 0;
   std::size_t current_ecu_ = 0;
   std::size_t page_ = 0;
   std::vector<Row> rows_;

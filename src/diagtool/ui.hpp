@@ -14,6 +14,7 @@ namespace dpr::diagtool {
 struct Rect {
   int x = 0, y = 0, w = 0, h = 0;
 
+  bool operator==(const Rect&) const = default;
   bool contains(int px, int py) const {
     return px >= x && px < x + w && py >= y && py < y + h;
   }
@@ -40,6 +41,8 @@ struct Widget {
   std::string icon;
   /// For value texts: index of the sibling label naming the signal.
   int row = -1;
+
+  bool operator==(const Widget&) const = default;
 };
 
 struct Screen {

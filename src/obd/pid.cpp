@@ -140,11 +140,11 @@ const std::vector<PidSpec>& pid_table() {
   return table;
 }
 
-std::optional<PidSpec> find_pid(std::uint8_t pid) {
+const PidSpec* find_pid(std::uint8_t pid) {
   for (const auto& spec : pid_table()) {
-    if (spec.pid == pid) return spec;
+    if (spec.pid == pid) return &spec;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 util::Bytes encode_request(std::uint8_t pid) {
@@ -173,12 +173,16 @@ std::optional<Response> decode_response(
 }
 
 std::optional<double> decode_value(std::span<const std::uint8_t> payload) {
-  const auto resp = decode_response(payload);
-  if (!resp) return std::nullopt;
-  const auto spec = find_pid(resp->pid);
-  if (!spec || resp->data.size() < spec->data_bytes) return std::nullopt;
-  return spec->decode(
-      std::span<const std::uint8_t>(resp->data.data(), spec->data_bytes));
+  // Same acceptance as decode_response, read in place: "41 <pid> <data>".
+  if (payload.size() < 3 ||
+      payload[0] != kModeCurrentData + kPositiveOffset) {
+    return std::nullopt;
+  }
+  const PidSpec* spec = find_pid(payload[1]);
+  if (spec == nullptr || payload.size() - 2 < spec->data_bytes) {
+    return std::nullopt;
+  }
+  return spec->decode(payload.subspan(2, spec->data_bytes));
 }
 
 }  // namespace dpr::obd

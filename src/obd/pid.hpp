@@ -37,7 +37,9 @@ struct PidSpec {
 /// common mode-01 PIDs.
 const std::vector<PidSpec>& pid_table();
 
-std::optional<PidSpec> find_pid(std::uint8_t pid);
+/// The registry entry for `pid`, or nullptr. Points into pid_table(),
+/// which lives for the whole program.
+const PidSpec* find_pid(std::uint8_t pid);
 
 /// Mode-01 request "01 <pid>".
 util::Bytes encode_request(std::uint8_t pid);

@@ -35,7 +35,7 @@ std::vector<UiSample> extract_samples(const cps::VideoRecording& video,
   std::vector<UiSample> samples;
   for (const auto& frame : video.frames) {
     std::size_t n_rows = 0;
-    for (const auto& region : frame.text_regions) {
+    for (const auto& region : frame.text_regions()) {
       if (region.row < 0) continue;
       const auto row = static_cast<std::size_t>(region.row);
       n_rows = std::max(n_rows, row + 1);

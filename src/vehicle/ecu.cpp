@@ -224,8 +224,8 @@ void EcuSim::attach_transport(can::CanBus& bus) {
       if (request.size() < 2 || request[0] != obd::kModeCurrentData) return;
       for (const auto& sig : obd_signals_) {
         if (sig.pid != request[1]) continue;
-        const auto spec = obd::find_pid(sig.pid);
-        if (!spec) return;
+        const obd::PidSpec* spec = obd::find_pid(sig.pid);
+        if (spec == nullptr) return;
         const std::uint32_t raw = sig.source->sample(clock_.now());
         obd_link_->send(obd::encode_response(
             sig.pid, raw_to_bytes(raw, spec->data_bytes)));

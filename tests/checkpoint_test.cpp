@@ -1,9 +1,10 @@
 // Checkpoint-store durability and self-healing: a torn, corrupt,
 // key-mismatched, pre-v5 or future-format file must be quarantined with a
 // logged reason (and the campaign re-runs the phase instead of failing);
-// the MANIFEST must account for every mutation of the directory; and the
+// the MANIFEST must account for every mutation of the directory; the
 // options digest that names checkpoint files must not drift between
-// builds.
+// builds; and a collected video must survive a state round trip region
+// for region.
 //
 // The one committed fixture is a v4 container written by a build that
 // predates v5, keyed for fixture_options() on Car A: this build must
@@ -14,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -136,6 +138,78 @@ TEST(OptionsDigest, PinnedForDefaultFaultedNmAndVetoConfigs) {
   veto.faults.nm_veto_address = 2;
   EXPECT_EQ(digest(veto), 0xded4a4e53295e357ULL);
   EXPECT_EQ(digest(fixture_options()), 0xc12c4f96de841d69ULL);
+}
+
+// --- Video: camera frames travel through a checkpoint unchanged ----------
+
+/// FNV-1a over everything a recorded frame shows: timestamp, size, every
+/// text region (truth, bounds, font size, row, clickable) and every icon.
+std::uint64_t video_digest(const cps::VideoRecording& video) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto fold = [&h](std::int64_t v) {
+    h = util::fnv1a64_u64(static_cast<std::uint64_t>(v), h);
+  };
+  const auto fold_rect = [&fold](const diagtool::Rect& r) {
+    fold(r.x);
+    fold(r.y);
+    fold(r.w);
+    fold(r.h);
+  };
+  fold(static_cast<std::int64_t>(video.frames.size()));
+  for (const auto& frame : video.frames) {
+    fold(frame.timestamp);
+    fold(frame.width);
+    fold(frame.height);
+    fold(static_cast<std::int64_t>(frame.text_regions().size()));
+    for (const auto& region : frame.text_regions()) {
+      h = util::fnv1a64_str(region.truth, h);
+      fold_rect(region.bounds);
+      fold(region.font_px);
+      fold(region.row);
+      fold(region.clickable);
+    }
+    fold(static_cast<std::int64_t>(frame.icon_regions().size()));
+    for (const auto& icon : frame.icon_regions()) {
+      fold_rect(icon.bounds);
+      h = util::fnv1a64_str(icon.icon_identity, h);
+    }
+  }
+  return h;
+}
+
+TEST(Video, CollectedVideoPinned) {
+  // Pinned before frames shared their images: sharing must not change a
+  // single recorded region.
+  core::Campaign campaign(vehicle::CarId::kA, fixture_options());
+  campaign.collect();
+  EXPECT_EQ(campaign.video().frames.size(), 56u);
+  EXPECT_EQ(video_digest(campaign.video()), 0x71c238e82102ab91ULL);
+}
+
+TEST(Video, StateRoundTripIsByteIdentical) {
+  core::Campaign campaign(vehicle::CarId::kA, fixture_options());
+  campaign.collect();
+  const auto saved =
+      campaign.serialize_state_versioned(core::kCheckpointPayloadSchema);
+
+  core::Campaign restored(vehicle::CarId::kA, fixture_options());
+  ASSERT_TRUE(restored.restore_state(saved));
+  EXPECT_EQ(restored.serialize_state_versioned(core::kCheckpointPayloadSchema),
+            saved);
+
+  const auto& want = campaign.video().frames;
+  const auto& got = restored.video().frames;
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("frame " + std::to_string(i));
+    EXPECT_EQ(got[i].timestamp, want[i].timestamp);
+    EXPECT_EQ(got[i].width, want[i].width);
+    EXPECT_EQ(got[i].height, want[i].height);
+    EXPECT_TRUE(std::ranges::equal(got[i].text_regions(),
+                                   want[i].text_regions()));
+    EXPECT_TRUE(std::ranges::equal(got[i].icon_regions(),
+                                   want[i].icon_regions()));
+  }
 }
 
 // --- Resume: v5 round trip, pre-v5 rejected --------------------------------

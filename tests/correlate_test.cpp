@@ -46,7 +46,8 @@ TEST(AlignWithObd, RecoversDisplayLatency) {
   for (int i = 0; i < 20; ++i) {
     const util::SimTime t = i * util::kSecond;
     value += 7.0;
-    const auto spec = obd::find_pid(0x0D);
+    const obd::PidSpec* spec = obd::find_pid(0x0D);
+    ASSERT_NE(spec, nullptr);
     const auto raw = spec->encode(value);
     util::Bytes payload{0x41, 0x0D};
     payload.insert(payload.end(), raw.begin(), raw.end());

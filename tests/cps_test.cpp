@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "can/bus.hpp"
 #include "cps/analyzer.hpp"
@@ -161,7 +164,85 @@ TEST_F(RigFixture, CameraCapturesWidgetsWithDeviceTimestamp) {
   clock_.advance(5000);
   const auto shot = camera_.capture(clock_.now());
   EXPECT_EQ(shot.timestamp, 6000);
-  EXPECT_GT(shot.text_regions.size(), 3u);
+  EXPECT_GT(shot.text_regions().size(), 3u);
+}
+
+// --- Shared frames: one image per screen version -------------------------
+
+/// Drive the rig into the OBD live view, whose values repaint every poll.
+void enter_obd_live(diagtool::DiagnosticTool& tool) {
+  for (const auto& widget : tool.screen().widgets) {
+    if (widget.text == "OBD-II Scan") {
+      tool.click(widget.bounds.center_x(), widget.bounds.center_y());
+      return;
+    }
+  }
+  FAIL() << "no OBD-II Scan button";
+}
+
+/// The value texts a frame shows, in region order.
+std::vector<std::string> value_texts(const Screenshot& shot) {
+  std::vector<std::string> texts;
+  for (const auto& region : shot.text_regions()) {
+    if (region.row >= 0 && region.bounds.x > shot.width / 2) {
+      texts.push_back(region.truth);
+    }
+  }
+  return texts;
+}
+
+/// Step the tool until a repaint moves its screen; false if none lands.
+bool run_until_repaint(diagtool::DiagnosticTool& tool) {
+  const auto version = tool.screen_version();
+  for (int step = 0; step < 400; ++step) {
+    tool.run_for(25 * util::kMillisecond);
+    if (tool.screen_version() != version) return true;
+  }
+  return false;
+}
+
+TEST_F(RigFixture, UnchangedScreenSharesTheImage) {
+  const auto menu = camera_.capture(clock_.now());
+  clock_.advance(40 * util::kMillisecond);
+  const auto again = camera_.capture(clock_.now());
+  EXPECT_EQ(again.image, menu.image);
+  EXPECT_NE(again.timestamp, menu.timestamp);
+
+  enter_obd_live(tool_);
+  const auto live = camera_.capture(clock_.now());
+  EXPECT_NE(live.image, menu.image);  // a click is a new image
+  EXPECT_EQ(camera_.capture(clock_.now()).image, live.image);
+}
+
+TEST_F(RigFixture, RepaintYieldsANewImageAndOldFramesKeepTheirValues) {
+  enter_obd_live(tool_);
+  ASSERT_TRUE(run_until_repaint(tool_));
+  const auto first = camera_.capture(clock_.now());
+  const auto first_values = value_texts(first);
+  ASSERT_FALSE(first_values.empty());
+
+  std::size_t new_images = 0;
+  for (int repaint = 0; repaint < 20; ++repaint) {
+    const auto before = camera_.capture(clock_.now());
+    ASSERT_TRUE(run_until_repaint(tool_));
+    const auto after = camera_.capture(clock_.now());
+    EXPECT_NE(after.image, before.image);
+    EXPECT_NE(value_texts(after), value_texts(before));
+    ++new_images;
+    // A camera with no memo converts the screen from scratch: the shared
+    // image must be exactly that conversion.
+    Camera fresh(tool_, util::DeviceClock(1000, 0.0),
+                 tool_.profile().value_font_px);
+    const auto converted = fresh.capture(clock_.now());
+    EXPECT_TRUE(std::ranges::equal(after.text_regions(),
+                                   converted.text_regions()));
+    EXPECT_TRUE(std::ranges::equal(after.icon_regions(),
+                                   converted.icon_regions()));
+  }
+  EXPECT_EQ(new_images, 20u);
+  // Twenty repaints later the first frame still shows what it recorded.
+  EXPECT_EQ(value_texts(first), first_values);
+  EXPECT_NE(value_texts(camera_.capture(clock_.now())), first_values);
 }
 
 TEST_F(RigFixture, AnalyzerFindsButtonsByKeyword) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "can/bus.hpp"
 #include "can/sniffer.hpp"
 #include "diagtool/tool.hpp"
+#include "vehicle/generator.hpp"
 #include "vehicle/vehicle.hpp"
 
 namespace dpr::diagtool {
@@ -235,6 +237,137 @@ TEST_F(DtcFixture, ClearTroubleCodesEmptiesTheStore) {
     }
   }
   EXPECT_TRUE(empty_notice);
+}
+
+// --- Value-only repaints against the full-rebuild reference ----------------
+
+/// Two identical rigs on one car, driven through the same clicks: `fast`
+/// patches repainted value texts in place, `legacy` rebuilds its whole
+/// screen on every step. After every step both must show the same screen,
+/// and `fast` must bump its screen version exactly when its screen moved.
+class RepaintEquivalence : public ::testing::Test {
+ protected:
+  struct Rig {
+    explicit Rig(const vehicle::CarSpec& spec)
+        : bus(clock),
+          vehicle(spec, bus, clock),
+          tool(profile_by_name(vehicle.spec().tool), vehicle, bus, clock) {}
+    util::SimClock clock;
+    can::CanBus bus;
+    vehicle::Vehicle vehicle;
+    DiagnosticTool tool;
+  };
+
+  explicit RepaintEquivalence(const vehicle::CarSpec& spec)
+      : fast_(spec), legacy_(spec) {
+    legacy_.tool.set_legacy_ui(true);
+  }
+  RepaintEquivalence() : RepaintEquivalence(multi_page_car()) {}
+
+  /// One UDS ECU with 24 data-stream rows: two pages of kRowsPerPage.
+  static vehicle::CarSpec multi_page_car() {
+    vehicle::GeneratorConfig config;
+    config.ecus_min = config.ecus_max = 1;
+    config.formula_signals_min = config.formula_signals_max = 20;
+    config.enum_signals_min = config.enum_signals_max = 4;
+    config.kwp_fraction = 0.0;
+    return vehicle::generate_car(config, 5);
+  }
+
+  /// Click the first button whose text contains `keyword`, on both rigs at
+  /// the same point (their screens are equal, so it is the same button).
+  bool click(const std::string& keyword) {
+    for (const auto& widget : fast_.tool.screen().widgets) {
+      if (widget.kind == Widget::Kind::kButton &&
+          widget.text.find(keyword) != std::string::npos) {
+        const int x = widget.bounds.center_x();
+        const int y = widget.bounds.center_y();
+        const bool hit = fast_.tool.click(x, y);
+        EXPECT_EQ(legacy_.tool.click(x, y), hit);
+        return hit;
+      }
+    }
+    return false;
+  }
+
+  /// Step both rigs 25 ms at a time for `duration`, comparing screens after
+  /// each step. Returns how many steps changed the displayed screen.
+  std::size_t run_and_compare(util::SimTime duration) {
+    std::size_t changed_steps = 0;
+    for (util::SimTime t = 0; t < duration; t += 25 * util::kMillisecond) {
+      const auto before = fast_.tool.screen().widgets;
+      const auto version = fast_.tool.screen_version();
+      fast_.tool.run_for(25 * util::kMillisecond);
+      legacy_.tool.run_for(25 * util::kMillisecond);
+      const auto& want = legacy_.tool.screen();
+      const auto& got = fast_.tool.screen();
+      EXPECT_EQ(got.title, want.title);
+      EXPECT_EQ(got.width, want.width);
+      EXPECT_EQ(got.height, want.height);
+      EXPECT_EQ(got.widgets.size(), want.widgets.size());
+      for (std::size_t i = 0;
+           i < std::min(got.widgets.size(), want.widgets.size()); ++i) {
+        const auto& g = got.widgets[i];
+        const auto& w = want.widgets[i];
+        EXPECT_EQ(g.kind, w.kind) << "widget " << i << " at step " << t;
+        EXPECT_EQ(g.text, w.text) << "widget " << i << " at step " << t;
+        EXPECT_EQ(g.bounds, w.bounds) << "widget " << i << " at step " << t;
+        EXPECT_EQ(g.action, w.action) << "widget " << i << " at step " << t;
+        EXPECT_EQ(g.icon, w.icon) << "widget " << i << " at step " << t;
+        EXPECT_EQ(g.row, w.row) << "widget " << i << " at step " << t;
+      }
+      const bool moved = got.widgets != before;
+      EXPECT_EQ(fast_.tool.screen_version() != version, moved)
+          << "at step " << t;
+      if (moved) ++changed_steps;
+    }
+    return changed_steps;
+  }
+
+  /// Rows on the current data-stream page.
+  std::size_t rows_on_page() const {
+    std::size_t rows = 0;
+    for (const auto& widget : fast_.tool.screen().widgets) {
+      if (widget.row >= 0 && widget.kind != Widget::Kind::kValueText) ++rows;
+    }
+    return rows;
+  }
+
+  Rig fast_;
+  Rig legacy_;
+};
+
+TEST_F(RepaintEquivalence, DataStreamLiveViewAcrossAPageFlip) {
+  ASSERT_TRUE(click("Local Diagnostics"));
+  ASSERT_TRUE(click(fast_.vehicle.spec().ecus[0].name));
+  ASSERT_TRUE(click("Read Data Stream"));
+  // Select every row on both pages, then return to the first.
+  while (click("[ ]")) {
+  }
+  ASSERT_EQ(rows_on_page(), 14u);
+  ASSERT_TRUE(click("Next Page"));
+  while (click("[ ]")) {
+  }
+  ASSERT_EQ(rows_on_page(), 10u);
+  ASSERT_TRUE(click("Prev Page"));
+  ASSERT_TRUE(click("Start"));
+  ASSERT_EQ(fast_.tool.mode(), DiagnosticTool::Mode::kDataLive);
+
+  EXPECT_GT(run_and_compare(3 * util::kSecond), 0u);
+  ASSERT_TRUE(click("Next Page"));  // the page flip, mid-stream
+  EXPECT_EQ(rows_on_page(), 10u);
+  EXPECT_GT(run_and_compare(3 * util::kSecond), 0u);
+  ASSERT_TRUE(click("Prev Page"));
+  EXPECT_GT(run_and_compare(2 * util::kSecond), 0u);
+  ASSERT_TRUE(click("Stop"));
+  // Repaints still land after Stop, but the select view shows no values.
+  EXPECT_EQ(run_and_compare(1 * util::kSecond), 0u);
+}
+
+TEST_F(RepaintEquivalence, ObdLiveView) {
+  ASSERT_TRUE(click("OBD-II Scan"));
+  ASSERT_EQ(fast_.tool.mode(), DiagnosticTool::Mode::kObdLive);
+  EXPECT_GT(run_and_compare(4 * util::kSecond), 0u);
 }
 
 }  // namespace

@@ -9,26 +9,26 @@ namespace {
 
 TEST(PidTable, ContainsTheSevenTable5Pids) {
   for (std::uint8_t pid : {0x11, 0x04, 0x2F, 0x0C, 0x0D, 0x05, 0x0B}) {
-    EXPECT_TRUE(find_pid(pid).has_value()) << "missing PID " << int(pid);
+    EXPECT_NE(find_pid(pid), nullptr) << "missing PID " << int(pid);
   }
 }
 
 TEST(PidTable, RpmDecodeMatchesStandard) {
   const auto spec = find_pid(0x0C);
-  ASSERT_TRUE(spec.has_value());
+  ASSERT_NE(spec, nullptr);
   const util::Bytes raw{0x1A, 0xF8};
   EXPECT_NEAR(spec->decode(raw), (256.0 * 0x1A + 0xF8) / 4.0, 1e-9);
 }
 
 TEST(PidTable, CoolantTempOffset) {
   const auto spec = find_pid(0x05);
-  ASSERT_TRUE(spec.has_value());
+  ASSERT_NE(spec, nullptr);
   EXPECT_DOUBLE_EQ(spec->decode(util::Bytes{0x7B}), 0x7B - 40.0);
 }
 
 TEST(PidTable, ThrottleScale) {
   const auto spec = find_pid(0x11);
-  ASSERT_TRUE(spec.has_value());
+  ASSERT_NE(spec, nullptr);
   EXPECT_NEAR(spec->decode(util::Bytes{0xFF}), 100.0, 0.01);
 }
 
@@ -36,7 +36,7 @@ class PidRoundTrip : public ::testing::TestWithParam<std::uint8_t> {};
 
 TEST_P(PidRoundTrip, EncodeDecodeConsistentAcrossRange) {
   const auto spec = find_pid(GetParam());
-  ASSERT_TRUE(spec.has_value());
+  ASSERT_NE(spec, nullptr);
   for (int step = 0; step <= 10; ++step) {
     const double value =
         spec->min_value +
@@ -80,6 +80,22 @@ TEST(Protocol, DecodeValueAppliesStandardFormula) {
 TEST(Protocol, DecodeValueRejectsMalformed) {
   EXPECT_EQ(decode_value(util::from_hex("41 0C")), std::nullopt);
   EXPECT_EQ(decode_value(util::from_hex("7F 01 12")), std::nullopt);
+  // A two-byte PID with one data byte, and a PID outside the registry.
+  EXPECT_EQ(decode_value(util::from_hex("41 0C 1A")), std::nullopt);
+  EXPECT_EQ(decode_value(util::from_hex("41 FE 12")), std::nullopt);
+}
+
+TEST(Protocol, DecodeValueIgnoresTrailingBytes) {
+  const auto value = decode_value(util::from_hex("41 0D 64 AA BB"));
+  ASSERT_TRUE(value.has_value());
+  EXPECT_DOUBLE_EQ(*value, 100.0);
+}
+
+TEST(PidTable, FindPidPointsIntoTheRegistry) {
+  for (const auto& spec : pid_table()) {
+    EXPECT_EQ(find_pid(spec.pid), &spec);
+  }
+  EXPECT_EQ(find_pid(0xFE), nullptr);
 }
 
 TEST(PidTable, SpecsHaveSaneRangesAndFormulas) {

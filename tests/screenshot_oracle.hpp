@@ -29,7 +29,7 @@ inline std::vector<UiSample> extract_samples(const cps::VideoRecording& video,
   for (const auto& frame : video.frames) {
     std::map<int, std::string> labels;
     std::map<int, std::string> values;
-    for (const auto& region : frame.text_regions) {
+    for (const auto& region : frame.text_regions()) {
       if (region.row < 0) continue;
       const std::string text = ocr.read(region.truth, region.font_px);
       if (region.bounds.x > frame.width / 2) {

@@ -17,24 +17,26 @@ namespace {
 cps::Screenshot make_frame(util::SimTime t,
                            std::initializer_list<
                                std::pair<std::string, std::string>> rows) {
-  cps::Screenshot shot;
-  shot.timestamp = t;
-  shot.width = 1000;
-  shot.height = 800;
+  cps::ScreenImage image;
   int row = 0;
   for (const auto& [label, value] : rows) {
     cps::TextRegion name;
     name.truth = label;
     name.bounds = {40, 60 + 40 * row, 400, 36};
     name.row = row;
-    shot.text_regions.push_back(name);
+    image.text_regions.push_back(name);
     cps::TextRegion val;
     val.truth = value;
     val.bounds = {600, 60 + 40 * row, 200, 30};
     val.row = row;
-    shot.text_regions.push_back(val);
+    image.text_regions.push_back(val);
     ++row;
   }
+  cps::Screenshot shot;
+  shot.timestamp = t;
+  shot.width = 1000;
+  shot.height = 800;
+  shot.image = std::make_shared<const cps::ScreenImage>(std::move(image));
   return shot;
 }
 
@@ -219,6 +221,7 @@ cps::VideoRecording random_video(util::Rng& rng, int n_frames) {
     shot.timestamp = f * 250000 + rng.uniform_int(0, 999);
     shot.width = rng.chance(0.5) ? 1000 : 999;
     shot.height = 800;
+    cps::ScreenImage image;
     const auto n_regions = rng.uniform_int(0, 30);
     for (std::int64_t i = 0; i < n_regions; ++i) {
       cps::TextRegion region;
@@ -232,8 +235,9 @@ cps::VideoRecording random_video(util::Rng& rng, int n_frames) {
       region.font_px = static_cast<int>(rng.uniform_int(8, 40));
       region.truth = right ? random_value_text(rng)
                            : kNames[rng.uniform_int(0, std::size(kNames) - 1)];
-      shot.text_regions.push_back(std::move(region));
+      image.text_regions.push_back(std::move(region));
     }
+    shot.image = std::make_shared<const cps::ScreenImage>(std::move(image));
     video.frames.push_back(std::move(shot));
   }
   return video;
@@ -359,16 +363,18 @@ TEST(Differential, ExtractMatchesOracleAndDrawsTheSameOcr) {
 
 TEST(Differential, ExtractDuplicateRegionsLaterWins) {
   cps::Screenshot shot = make_frame(1000, {{"Oil Pressure", "1.0"}});
-  cps::TextRegion label2 = shot.text_regions[0];
+  cps::ScreenImage image = *shot.image;
+  cps::TextRegion label2 = image.text_regions[0];
   label2.truth = "Oil Temperature";
-  cps::TextRegion value2 = shot.text_regions[1];
+  cps::TextRegion value2 = image.text_regions[1];
   value2.truth = "2.0";
   cps::TextRegion clickable = label2;
   clickable.truth = "Back";
   clickable.clickable = true;  // a left-side button: read, never a label
-  shot.text_regions.push_back(label2);
-  shot.text_regions.push_back(value2);
-  shot.text_regions.push_back(clickable);
+  image.text_regions.push_back(label2);
+  image.text_regions.push_back(value2);
+  image.text_regions.push_back(clickable);
+  shot.image = std::make_shared<const cps::ScreenImage>(std::move(image));
   cps::VideoRecording video;
   video.frames.push_back(shot);
   cps::OcrEngine want_ocr(util::Rng(1), false), got_ocr(util::Rng(1), false);
