@@ -721,7 +721,7 @@ bool DiagnosticTool::click(int x, int y) {
     obd_rows_.clear();
     // The well-documented PIDs a telematics-style OBD view shows.
     for (const auto& spec : obd::pid_table()) {
-      obd_rows_.push_back(ObdRow{spec.pid, spec.name, "--"});
+      obd_rows_.push_back(ObdRow{spec.pid, spec.name});
       if (obd_rows_.size() >= kRowsPerPage) break;
     }
     mode_ = Mode::kObdLive;

@@ -267,7 +267,7 @@ class DiagnosticTool {
     std::uint8_t pid = 0;
     std::string name;
     std::string value_text = "--";
-    std::string pending_text;
+    std::string pending_text{};
     util::SimTime pending_at = -1;
   };
   std::vector<ObdRow> obd_rows_;

@@ -2,8 +2,9 @@
 // Fleet-level GP fan-out: each (vehicle, DID) dataset is an independent
 // inference problem, so the Table 6/7/8 sweeps and the CLI scatter them
 // across a work-stealing pool instead of inferring one formula at a time.
-// Each job carries its own GpConfig (seed, thread knob), so a batch run
-// produces exactly the results the equivalent serial loop would.
+// Each job carries its own GpConfig (seed included) and runs on one
+// thread, so a batch run produces exactly the results the equivalent
+// serial loop would.
 
 #include <optional>
 #include <vector>

@@ -11,7 +11,6 @@
 #include "gp/genome.hpp"
 #include "gp/program.hpp"
 #include "regress/regress.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dpr::gp {
 
@@ -23,43 +22,14 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Offspring per breeding chunk. Fixed (never derived from the worker
-/// count) so that the chunk -> RNG-stream mapping, and therefore the
-/// evolved population, is identical for every n_threads.
+/// Offspring per breeding chunk. Each chunk breeds from its own RNG
+/// stream, forked from the master in chunk order, so this constant fixes
+/// which draws every child sees: changing it would move every search.
 constexpr std::size_t kBreedChunk = 32;
 
-/// Runs chunked loops either inline or on a work-stealing pool. The
-/// chunk decomposition is shared between both paths, so results do not
-/// depend on which one executes.
-class Runner {
- public:
-  explicit Runner(std::size_t n_threads) {
-    if (util::ThreadPool::resolve(n_threads) > 1) {
-      pool_ = std::make_unique<util::ThreadPool>(n_threads);
-    }
-  }
-
-  /// Calls body(chunk, begin, end) for `n_chunks` even slices of [0, n).
-  template <typename Body>
-  void chunks(std::size_t n, std::size_t n_chunks, const Body& body) {
-    if (n == 0 || n_chunks == 0) return;
-    n_chunks = std::min(n_chunks, n);
-    if (pool_) {
-      pool_->parallel_chunks(n, n_chunks, body);
-      return;
-    }
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      body(c, c * n / n_chunks, (c + 1) * n / n_chunks);
-    }
-  }
-
- private:
-  std::unique_ptr<util::ThreadPool> pool_;
-};
-
 /// One program of a generation. Its genes are bytes [offset, offset +
-/// bytes) of one buffer of the generation's arena; `genes` points at them
-/// once that buffer is complete.
+/// bytes) of the generation's genes buffer; `genes` points at them once
+/// that buffer is complete.
 struct Individual {
   std::uint8_t* genes = nullptr;
   std::uint32_t offset = 0;
@@ -67,7 +37,7 @@ struct Individual {
   std::uint32_t nodes = 0;
   double fitness = 1e300;    // raw MAE
   double penalized = 1e300;  // MAE + parsimony
-  bool fresh = false;        // bred this generation and not yet scored
+  bool fresh = true;         // not yet scored
 
   GenomeView view() const { return {{genes, bytes}, nodes}; }
   /// The fitness-cache key: the packed genes themselves.
@@ -85,16 +55,6 @@ bool fitter(const Individual& a, const Individual& b) {
   return a.penalized < b.penalized;
 }
 
-/// A generation's genes: one buffer per breeding chunk, so chunks write
-/// their offspring concurrently without sharing a buffer. Buffers keep
-/// their capacity from generation to generation and call to call.
-using Arena = std::vector<Genes>;
-
-void reset(Arena& arena, std::size_t n_buffers) {
-  if (arena.size() < n_buffers) arena.resize(n_buffers);
-  for (auto& genes : arena) genes.clear();
-}
-
 /// Everything fitness evaluation reads, fixed for one infer_formula run:
 /// the scaled samples column-major, their targets, and the cache.
 struct FitnessData {
@@ -105,67 +65,43 @@ struct FitnessData {
   FitnessCache* cache = nullptr;  // null = disabled
 };
 
-/// Per-worker evaluation state: a reusable tape plus the batch buffers.
-/// Every use overwrites what it reads (lower() before a tape pass, a
-/// fresh pass before its predictions), so it carries nothing between uses.
-struct WorkerScratch {
+/// What a run keeps for its whole length: the fitness cache, the genes
+/// buffers of the two live generations (the population's and its
+/// offspring's), the population vectors, the champion's genes, and the
+/// tape and batch buffers every evaluation reuses. None of it carries
+/// meaning from one run to the next: each use overwrites what it reads.
+struct RunMemory {
+  FitnessCache cache;
+  Genes generations[2];
+  std::vector<Individual> population;
+  std::vector<Individual> next;
+  Genes best;
   Program program;
   EvalScratch eval;
 };
 
-/// One chunk's share of a stage: CPU-seconds breeding, CPU-seconds
-/// scoring or tuning, and the evaluations it ran.
-struct Tally {
-  double breeding_s = 0.0;
-  double work_s = 0.0;
-  std::size_t evaluations = 0;
-};
-
-/// What a run keeps for its whole length: the fitness cache, the two
-/// generation arenas (the population's and its offspring's), the
-/// population vectors, the champion's genes and the per-chunk
-/// bookkeeping. None of it carries meaning from one run to the next.
-struct RunMemory {
-  FitnessCache cache;
-  Arena arenas[2];
-  std::vector<Individual> population;
-  std::vector<Individual> next;
-  Genes best;
-  std::vector<util::Rng> chunk_rngs;
-  std::vector<Tally> tallies;
-};
-
 /// One thread's GP working memory, kept for the thread's lifetime so that
-/// neither a generation nor an infer_formula call rebuilds it: the run
-/// memory of the run this thread drives and the scratch its chunk bodies
-/// score with. Once both have grown to the workload, a call allocates and
-/// page-faults nothing here.
+/// neither a generation nor an infer_formula call rebuilds it. Once it has
+/// grown to the workload, a call allocates and page-faults nothing here.
 struct Workspace {
   RunMemory run;
-  WorkerScratch scratch;
-  bool run_held = false;
-  bool scratch_held = false;
+  bool held = false;
 };
 
-Workspace& this_thread_workspace() {
-  thread_local Workspace workspace;
-  return workspace;
-}
-
-/// Borrows one member of this thread's Workspace for a scope. When a
-/// frame further up the same thread already holds it (a nested
-/// infer_formula), the borrower gets a private instance instead, so no
-/// two users ever share one.
-template <typename T>
+/// Borrows this thread's RunMemory for a scope. When a frame further up
+/// the same thread already holds it (a nested infer_formula), the
+/// borrower gets a private instance instead, so no two runs ever share
+/// one.
 class Borrowed {
  public:
-  Borrowed(T& shared, bool& held) {
-    if (held) {
-      item_ = &local_.emplace();
+  Borrowed() {
+    thread_local Workspace workspace;
+    if (workspace.held) {
+      run_ = &local_.emplace();
     } else {
-      held = true;
-      held_ = &held;
-      item_ = &shared;
+      workspace.held = true;
+      held_ = &workspace.held;
+      run_ = &workspace.run;
     }
   }
   ~Borrowed() {
@@ -174,24 +110,13 @@ class Borrowed {
   Borrowed(const Borrowed&) = delete;
   Borrowed& operator=(const Borrowed&) = delete;
 
-  T& operator*() const { return *item_; }
-  T* operator->() const { return item_; }
+  RunMemory& operator*() const { return *run_; }
 
  private:
-  std::optional<T> local_;
+  std::optional<RunMemory> local_;
   bool* held_ = nullptr;
-  T* item_ = nullptr;
+  RunMemory* run_ = nullptr;
 };
-
-Borrowed<RunMemory> borrow_run() {
-  Workspace& workspace = this_thread_workspace();
-  return {workspace.run, workspace.run_held};
-}
-
-Borrowed<WorkerScratch> borrow_scratch() {
-  Workspace& workspace = this_thread_workspace();
-  return {workspace.scratch, workspace.scratch_held};
-}
 
 /// Trimmed mean over `residuals` (partitioned in place): ignore the
 /// worst (1 - trim) fraction so surviving OCR outliers cannot steer the
@@ -228,17 +153,18 @@ double tape_mae(const Program& program, const FitnessData& data,
 /// is what the evaluation would have produced, so hit/miss patterns can
 /// never change the evolution). A hit needs only the genome's bytes; the
 /// tape is lowered only when the fitness has to be computed.
-bool score(Individual& ind, const FitnessData& data, WorkerScratch& scratch) {
+bool score(Individual& ind, const FitnessData& data, RunMemory& run) {
   const auto cached =
       data.cache != nullptr ? data.cache->lookup(ind.key()) : std::nullopt;
   if (cached) {
     ind.fitness = *cached;
   } else {
-    scratch.program.lower(ind.view().genes);
-    ind.fitness = tape_mae(scratch.program, data, scratch.eval);
+    run.program.lower(ind.view().genes);
+    ind.fitness = tape_mae(run.program, data, run.eval);
     if (data.cache != nullptr) data.cache->insert(ind.key(), ind.fitness);
   }
   ind.penalized = ind.fitness + data.parsimony * ind.nodes;
+  ind.fresh = false;
   return !cached;
 }
 
@@ -262,8 +188,8 @@ const Individual& tournament(const std::vector<Individual>& pop,
 /// whose entry k is the genome's k-th constant gene, and the tuned values
 /// are written back into the genes at the end.
 std::size_t tune_constants(Individual& ind, const FitnessData& data,
-                           WorkerScratch& scratch) {
-  Program& program = scratch.program;
+                           RunMemory& run) {
+  Program& program = run.program;
   program.lower(ind.view().genes);
   const std::size_t n_constants = program.n_constants();
   if (n_constants == 0) return 0;
@@ -282,7 +208,7 @@ std::size_t tune_constants(Individual& ind, const FitnessData& data,
           // Line search: keep stepping while the fit keeps improving.
           for (int walk = 0; walk < 64; ++walk) {
             nudge(k, direction * step);
-            const double mae = tape_mae(program, data, scratch.eval);
+            const double mae = tape_mae(program, data, run.eval);
             ++evaluations;
             if (mae + 1e-15 < ind.fitness) {
               ind.fitness = mae;
@@ -479,7 +405,6 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     throw std::invalid_argument("gp: a dataset needs 1 to 256 operands");
   }
   const auto wall_start = Clock::now();
-  Runner runner(config.n_threads);
 
   // --- Table 2 pre-processing ---------------------------------------------
   GpResult result;
@@ -500,8 +425,8 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
 
   // --- Fitness machinery ---------------------------------------------------
   // The scaled samples, column-major for the tape, and this thread's run
-  // memory: the fitness cache shared by every worker of this run (reset
-  // below, once the initial population is known) and the arenas.
+  // memory: the fitness cache (reset below, once the initial population
+  // is known), the genes buffers and the evaluation scratch.
   FitnessData data;
   data.matrix = SampleMatrix(dataset.points.size(), n_vars);
   data.ys.reserve(dataset.points.size());
@@ -514,18 +439,18 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   }
   data.trim_fraction = config.trim_fraction;
   data.parsimony = config.parsimony;
-  const auto memory = borrow_run();
+  const Borrowed memory;
   RunMemory& run = *memory;
   if (config.fitness_cache) data.cache = &run.cache;
 
   // --- Initial population ----------------------------------------------------
-  // Seeds, then random programs, written straight into the first arena.
+  // Seeds, then random programs, written straight into the first buffer.
   util::Rng rng(config.seed);
   std::vector<Individual>& population = run.population;
   std::vector<Individual>& next = run.next;
   population.clear();
-  reset(run.arenas[0], 1);
-  Genes& genes = run.arenas[0][0];
+  Genes& genes = run.generations[0];
+  genes.clear();
   if (config.seed_templates) seed_templates(rng, n_vars, genes);
   if (config.seed_least_squares) least_squares_seeds(data, genes);
   for (std::size_t at = 0; at < genes.size();) {
@@ -555,45 +480,23 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     data.cache->reset(population.size() + offspring * config.max_generations);
   }
   GpStageTimings timings;
-  const auto add_tallies = [&run, &timings](double GpStageTimings::*work) {
-    for (const Tally& tally : run.tallies) {
-      timings.breeding_s += tally.breeding_s;
-      timings.*work += tally.work_s;
-      timings.evaluations += tally.evaluations;
+  // Scores the unscored members in index order, which fixes where cache
+  // hits and misses fall.
+  const auto score_fresh = [&](std::vector<Individual>& members) {
+    const auto t0 = Clock::now();
+    for (Individual& ind : members) {
+      if (ind.fresh && score(ind, data, run)) ++timings.evaluations;
     }
+    timings.scoring_s += seconds_since(t0);
   };
-  {
-    // Initial scoring, fanned over the pool in fixed-size chunks; each
-    // chunk scores with its thread's scratch (tape + buffers). Per-chunk
-    // tallies keep the accounting race-free.
-    const std::size_t n = population.size();
-    const std::size_t n_chunks = (n + kBreedChunk - 1) / kBreedChunk;
-    run.tallies.assign(n_chunks, Tally{});
-    runner.chunks(n, n_chunks, [&](std::size_t c, std::size_t begin,
-                                   std::size_t end) {
-      const auto scratch = borrow_scratch();
-      Tally& tally = run.tallies[c];
-      const auto t0 = Clock::now();
-      for (std::size_t i = begin; i < end; ++i) {
-        if (score(population[i], data, *scratch)) ++tally.evaluations;
-      }
-      tally.work_s = seconds_since(t0);
-    });
-    add_tallies(&GpStageTimings::scoring_s);
-  }
-  // Coordinate-descent tuning of population[0, n), one task each.
+  score_fresh(population);
+  // Coordinate-descent tuning of population[0, n).
   const auto tune_first = [&](std::size_t n) {
-    run.tallies.assign(n, Tally{});
-    runner.chunks(n, n, [&](std::size_t, std::size_t begin, std::size_t end) {
-      const auto scratch = borrow_scratch();
-      for (std::size_t k = begin; k < end; ++k) {
-        const auto t0 = Clock::now();
-        run.tallies[k].evaluations =
-            tune_constants(population[k], data, *scratch);
-        run.tallies[k].work_s = seconds_since(t0);
-      }
-    });
-    add_tallies(&GpStageTimings::tuning_s);
+    const auto t0 = Clock::now();
+    for (std::size_t k = 0; k < n; ++k) {
+      timings.evaluations += tune_constants(population[k], data, run);
+    }
+    timings.tuning_s += seconds_since(t0);
   };
   // Refine the seed skeletons once up front: the template *shapes* are
   // right, their random constants are not.
@@ -624,38 +527,26 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     // the best-so-far instead of wedging a worker past its deadline.
     if (config.cancel != nullptr && config.cancel->expired()) break;
 
+    // The offspring buffer starts with the elite, whose fitness carries
+    // over unscored.
+    Genes& out = run.generations[(generation + 1) % 2];
+    out.clear();
+    next.assign(std::max<std::size_t>(1, config.population), Individual{});
+    copy_genome(best.view(), out);
+    next[0] = best;
+    next[0].offset = 0;
+
+    // Breed chunk by chunk, each chunk from its own RNG stream forked
+    // from the master in chunk order: the stream a child sees is a
+    // function of (seed, generation, chunk) only.
+    const auto t0 = Clock::now();
     const std::size_t n_chunks =
         std::max<std::size_t>(1, (offspring + kBreedChunk - 1) / kBreedChunk);
-
-    // Fork one RNG stream per breeding chunk *serially* from the master:
-    // the stream a chunk sees is a function of (seed, generation, chunk)
-    // only, so any worker may run any chunk and the evolved population is
-    // still bit-identical for every n_threads.
-    run.chunk_rngs.clear();
+    const std::size_t k = config.tournament;
     for (std::size_t c = 0; c < n_chunks; ++c) {
-      run.chunk_rngs.push_back(rng.fork());
-    }
-
-    // Offspring chunk c writes buffer c of the other arena; the last
-    // buffer holds the elite, whose fitness carries over unscored.
-    Arena& arena = run.arenas[(generation + 1) % 2];
-    reset(arena, n_chunks + 1);
-    next.assign(std::max<std::size_t>(1, config.population), Individual{});
-    copy_genome(best.view(), arena[n_chunks]);
-    next[0] = best;
-    next[0].genes = arena[n_chunks].data();
-
-    // Each chunk breeds all its children, then scores the fresh ones
-    // (scoring draws nothing, so the draws are those of breeding alone).
-    run.tallies.assign(n_chunks, Tally{});
-    runner.chunks(offspring, n_chunks, [&](std::size_t c, std::size_t begin,
-                                           std::size_t end) {
-      util::Rng& crng = run.chunk_rngs[c];
-      Genes& out = arena[c];
-      Tally& tally = run.tallies[c];
-      const std::size_t k = config.tournament;
-      const auto t0 = Clock::now();
-      for (std::size_t i = begin; i < end; ++i) {
+      util::Rng crng = rng.fork();
+      for (std::size_t i = c * offspring / n_chunks;
+           i < (c + 1) * offspring / n_chunks; ++i) {
         const double roll = crng.uniform();
         const std::size_t start = out.size();
         // Every operator starts from one tournament winner.
@@ -682,17 +573,12 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
         child.place(start, out.size(), bred.nodes);
         child.fresh = bred.fresh;
       }
-      const auto t1 = Clock::now();
-      tally.breeding_s = std::chrono::duration<double>(t1 - t0).count();
-      const auto scratch = borrow_scratch();
-      for (std::size_t i = begin; i < end; ++i) {
-        Individual& child = next[1 + i];
-        child.genes = out.data() + child.offset;
-        if (child.fresh && score(child, data, *scratch)) ++tally.evaluations;
-      }
-      tally.work_s = seconds_since(t1);
-    });
-    add_tallies(&GpStageTimings::scoring_s);
+    }
+    // The buffer is complete, so its children's pointers are final.
+    for (Individual& child : next) child.genes = out.data() + child.offset;
+    timings.breeding_s += seconds_since(t0);
+    // Scoring draws nothing, so the draws are those of breeding alone.
+    score_fresh(next);
     population.swap(next);
 
     // Refine the constants of the few fittest individuals, then promote

@@ -201,35 +201,29 @@ void Program::eval_batch(const SampleMatrix& samples,
 }
 
 void FitnessCache::reset(std::size_t max_keys) {
-  // A run's keys spread over the shards by hash; twice the even share
-  // plus slack is more than ten standard deviations above a shard's
-  // expected load, so a run within its bound does not evict.
-  shard_capacity_ = 2 * ((max_keys + kShards - 1) / kShards) + 16;
+  clear();
+  capacity_ = std::max<std::size_t>(1, max_keys);
   // Power-of-two slot count at ≤ 0.5 max load, so linear probes always
   // terminate quickly.
   std::size_t slots = 2;
-  while (slots < shard_capacity_ * 2) slots <<= 1;
-  for (auto& shard : shards_) {
-    clear(shard);
-    if (shard.slots.size() < slots) shard.slots.assign(slots, Slot{});
-  }
-  slot_mask_ = shards_[0].slots.size() - 1;
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
+  while (slots < capacity_ * 2) slots <<= 1;
+  if (slots_.size() < slots) slots_.assign(slots, Slot{});
+  slot_mask_ = slots_.size() - 1;
+  hits_ = 0;
+  misses_ = 0;
+  evictions_ = 0;
 }
 
-void FitnessCache::clear(Shard& shard) {
-  for (const std::uint32_t i : shard.used) shard.slots[i].hash = 0;
-  shard.used.clear();
-  shard.overflow.clear();
+void FitnessCache::clear() {
+  for (const std::uint32_t i : used_) slots_[i].hash = 0;
+  used_.clear();
+  overflow_.clear();
 }
 
 std::uint64_t FitnessCache::hash_key(std::string_view key) {
   // Chunked xor-multiply mix (8 bytes per step). Quality only matters
-  // for shard choice and probe placement — equality is always decided by
-  // comparing full keys, so a colliding pair can share a slot chain but
-  // never a value.
+  // for probe placement: equality is always decided by comparing full
+  // keys, so a colliding pair can share a slot chain but never a value.
   std::uint64_t h = 0x9E3779B97F4A7C15ULL ^ key.size();
   const char* p = key.data();
   std::size_t remaining = key.size();
@@ -248,45 +242,40 @@ std::uint64_t FitnessCache::hash_key(std::string_view key) {
   return h | 1;  // 0 is the empty-slot sentinel
 }
 
-bool FitnessCache::slot_matches(const Shard& shard, const Slot& slot,
-                                std::string_view key) {
+bool FitnessCache::slot_matches(const Slot& slot, std::string_view key) const {
   if (slot.len != key.size()) return false;
   if (slot.len <= kInlineKey) {
     return std::memcmp(slot.key, key.data(), slot.len) == 0;
   }
   std::uint32_t index;
   std::memcpy(&index, slot.key, sizeof index);
-  return shard.overflow[index] == key;
+  return overflow_[index] == key;
 }
 
 std::optional<double> FitnessCache::lookup(std::string_view key) {
   const std::uint64_t hash = hash_key(key);
-  Shard& shard = shard_for(hash);
-  std::lock_guard<std::mutex> lock(shard.mutex);
   for (std::size_t i = hash & slot_mask_;; i = (i + 1) & slot_mask_) {
-    const Slot& slot = shard.slots[i];
+    const Slot& slot = slots_[i];
     if (slot.hash == 0) break;
-    if (slot.hash == hash && slot_matches(shard, slot, key)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+    if (slot.hash == hash && slot_matches(slot, key)) {
+      ++hits_;
       return slot.fitness;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  ++misses_;
   return std::nullopt;
 }
 
 void FitnessCache::insert(std::string_view key, double fitness) {
   const std::uint64_t hash = hash_key(key);
-  Shard& shard = shard_for(hash);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.used.size() >= shard_capacity_) {
-    // Epoch eviction: drop the whole shard. Cached values are pure
-    // functions of the key, so eviction affects hit rate, never results.
-    clear(shard);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+  if (used_.size() >= capacity_) {
+    // Epoch eviction: drop every entry. Cached values are pure functions
+    // of the key, so eviction affects hit rate, never results.
+    clear();
+    ++evictions_;
   }
   for (std::size_t i = hash & slot_mask_;; i = (i + 1) & slot_mask_) {
-    Slot& slot = shard.slots[i];
+    Slot& slot = slots_[i];
     if (slot.hash == 0) {
       slot.hash = hash;
       slot.fitness = fitness;
@@ -294,16 +283,14 @@ void FitnessCache::insert(std::string_view key, double fitness) {
       if (key.size() <= kInlineKey) {
         std::memcpy(slot.key, key.data(), key.size());
       } else {
-        const auto index = static_cast<std::uint32_t>(shard.overflow.size());
-        shard.overflow.emplace_back(key);
+        const auto index = static_cast<std::uint32_t>(overflow_.size());
+        overflow_.emplace_back(key);
         std::memcpy(slot.key, &index, sizeof index);
       }
-      shard.used.push_back(static_cast<std::uint32_t>(i));
+      used_.push_back(static_cast<std::uint32_t>(i));
       return;
     }
-    if (slot.hash == hash && slot_matches(shard, slot, key)) {
-      return;  // another worker inserted the same shape first
-    }
+    if (slot.hash == hash && slot_matches(slot, key)) return;  // known key
   }
 }
 

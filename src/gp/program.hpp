@@ -22,10 +22,7 @@
 // key for the program, so crossover/mutation offspring that reproduce an
 // already-seen program can skip rescoring entirely.
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -196,51 +193,43 @@ class Program {
   std::size_t stack_need_ = 0;
 };
 
-/// Bounded, sharded map from program key (genome bytes) to trimmed-MAE
-/// fitness, shared by every worker of one infer_formula() run. Lookups compare
-/// full keys (never hashes alone), and a cached value is a pure function
-/// of (key, dataset), so hit/miss patterns — and therefore thread
-/// scheduling and eviction — can never change a result, only how fast it
-/// is reached. Eviction is a deterministic epoch clear: a shard that
-/// reaches its capacity is emptied before the next insert.
+/// Bounded map from program key (genome bytes) to trimmed-MAE fitness,
+/// owned by one thread's GP workspace and touched by no other thread, so
+/// it needs no lock. Lookups compare full keys (never hashes alone), and
+/// a cached value is a pure function of (key, dataset), so hit/miss
+/// patterns can never change a result, only how fast it is reached.
+/// Eviction is a deterministic epoch clear: a table that reaches its
+/// capacity is emptied before the next insert.
 ///
-/// One cache serves many runs: each thread's GP workspace keeps one and
-/// reset() re-arms it for the next run instead of building a new one.
-/// reset(max_keys) sizes every shard so that a run inserting at most
-/// `max_keys` distinct keys never evicts (shard capacity is twice the
-/// even share plus slack), and clears only the slots the previous run
-/// filled, so a run costs memory traffic in proportion to what it
-/// inserts, not to the table size. Slot arrays only grow (watermark
-/// semantics, like AlignedBuffer).
+/// One cache serves many runs: reset() re-arms it for the next run
+/// instead of building a new one. reset(max_keys) sets the capacity to
+/// `max_keys`, so a run inserting at most that many distinct keys never
+/// evicts, and clears only the slots the previous run filled, so a run
+/// costs memory traffic in proportion to what it inserts, not to the
+/// table size. The slot array only grows (watermark semantics, like
+/// AlignedBuffer).
 ///
-/// Storage is an open-addressed slot array per shard (linear probing at
-/// ≤ 0.5 load, key hashed once per operation). A slot is one cache line
-/// with the key bytes stored inline — a probe never chases a string
-/// pointer — and keys longer than the inline capacity (rare, large
-/// programs) fall back to a per-shard overflow pool. Equality is always
-/// decided on full key bytes, never the hash alone.
+/// Storage is one open-addressed slot array (linear probing at ≤ 0.5
+/// load, key hashed once per operation). A slot is one cache line with
+/// the key bytes stored inline, so a probe never chases a string pointer;
+/// keys longer than the inline capacity (rare, large programs) fall back
+/// to an overflow pool.
 class FitnessCache {
  public:
   explicit FitnessCache(std::size_t max_keys = 0) { reset(max_keys); }
 
   /// Forget every entry and zero the counters, then size for a run of at
-  /// most `max_keys` distinct keys. Not thread-safe: call it before the
-  /// run's workers start.
+  /// most `max_keys` distinct keys.
   void reset(std::size_t max_keys);
 
   std::optional<double> lookup(std::string_view key);
   void insert(std::string_view key, double fitness);
 
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+  std::uint64_t evictions() const { return evictions_; }
 
  private:
-  static constexpr std::size_t kShards = 16;
   static constexpr std::size_t kInlineKey = 44;
   struct alignas(64) Slot {
     std::uint64_t hash = 0;  // 0 = empty (hash_key never returns 0)
@@ -248,26 +237,18 @@ class FitnessCache {
     std::uint32_t len = 0;   // key byte length; > kInlineKey -> overflow
     char key[kInlineKey] = {};  // inline key bytes, or a u32 overflow index
   };
-  struct Shard {
-    std::mutex mutex;
-    std::vector<Slot> slots;  // power-of-two size, ≥ 2x shard capacity
-    std::vector<std::uint32_t> used;    // filled slot indices; size = count
-    std::vector<std::string> overflow;  // keys longer than kInlineKey
-  };
-  static void clear(Shard& shard);
-  static bool slot_matches(const Shard& shard, const Slot& slot,
-                           std::string_view key);
+  void clear();
+  bool slot_matches(const Slot& slot, std::string_view key) const;
   static std::uint64_t hash_key(std::string_view key);
-  Shard& shard_for(std::uint64_t hash) {
-    return shards_[(hash >> 56) % kShards];
-  }
 
-  std::array<Shard, kShards> shards_;
-  std::size_t shard_capacity_ = 1;
+  std::vector<Slot> slots_;            // power-of-two size, ≥ 2x capacity
+  std::vector<std::uint32_t> used_;    // filled slot indices
+  std::vector<std::string> overflow_;  // keys longer than kInlineKey
+  std::size_t capacity_ = 1;
   std::size_t slot_mask_ = 0;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace dpr::gp

@@ -107,26 +107,15 @@ void ThreadPool::wait_idle() {
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
-  parallel_chunks(n, n,
-                  [&body](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) body(i);
-                  });
-}
-
-void ThreadPool::parallel_chunks(
-    std::size_t n, std::size_t n_chunks,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  if (n == 0 || n_chunks == 0) return;
-  n_chunks = std::min(n_chunks, n);
+  if (n == 0) return;
 
   // Shared-ownership loop state: helper tasks may be dequeued after the
-  // caller has already returned (every chunk can be claimed before a
+  // caller has already returned (every index can be claimed before a
   // queued helper ever runs), so everything a late helper touches must
   // live in this block, not on the caller's stack.
   struct Loop {
     std::size_t n = 0;
-    std::size_t n_chunks = 0;
-    std::function<void(std::size_t, std::size_t, std::size_t)> body;
+    std::function<void(std::size_t)> body;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::mutex mutex;
@@ -135,18 +124,15 @@ void ThreadPool::parallel_chunks(
 
     void drain() {
       for (;;) {
-        const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-        if (c >= n_chunks) break;
-        // Fixed decomposition: chunk c covers [c*n/nc, (c+1)*n/nc) — a
-        // function of (n, n_chunks) only, never of the worker count, so
-        // deterministic callers can rely on the chunk boundaries.
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n) break;
         try {
-          body(c, c * n / n_chunks, (c + 1) * n / n_chunks);
+          body(i);
         } catch (...) {
           std::lock_guard<std::mutex> lock(mutex);
           if (!error) error = std::current_exception();
         }
-        if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n_chunks) {
+        if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
           std::lock_guard<std::mutex> lock(mutex);
           cv.notify_all();
         }
@@ -155,14 +141,12 @@ void ThreadPool::parallel_chunks(
   };
   auto loop = std::make_shared<Loop>();
   loop->n = n;
-  loop->n_chunks = n_chunks;
   loop->body = body;
 
-  // One helper task per worker; each pulls chunks from the shared cursor.
+  // One helper task per worker; each pulls indices from the shared cursor.
   // The caller drains too, so even when every worker is busy with long
   // jobs (nested loops, BatchRunner fan-out) the loop always completes.
-  const std::size_t helpers =
-      std::min(workers_.size(), n_chunks > 1 ? n_chunks - 1 : 0);
+  const std::size_t helpers = std::min(workers_.size(), n - 1);
   for (std::size_t h = 0; h < helpers; ++h) {
     submit([loop] { loop->drain(); });
   }
@@ -171,7 +155,7 @@ void ThreadPool::parallel_chunks(
   {
     std::unique_lock<std::mutex> lock(loop->mutex);
     loop->cv.wait(lock, [&loop] {
-      return loop->done.load(std::memory_order_acquire) == loop->n_chunks;
+      return loop->done.load(std::memory_order_acquire) == loop->n;
     });
   }
   if (loop->error) std::rethrow_exception(loop->error);

@@ -139,7 +139,6 @@ TEST_P(GoldenSignatures, MatchAtEveryThreadCountAndAcrossResume) {
     FleetOptions options;
     options.fleet_threads = threads;
     options.campaign = golden.campaign;
-    options.campaign.gp.n_threads = threads;
     const auto summary = FleetRunner(options).run(golden.cars);
     expect_matches_fixture(golden.name,
                            std::to_string(threads) + " threads",

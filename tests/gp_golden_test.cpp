@@ -8,11 +8,11 @@
 // no early stop), a target the seeds cannot fit, and real generated-fleet
 // datasets from tests/fixtures/gp/.
 //
-// Each case runs at 1, 2 and 8 GP threads. At one thread every field must
-// match. With more workers two chunks can both miss a shape neither has
-// inserted yet, so there the hit/miss split may move; the lookup total
-// and the evaluations that are not cache misses (constant tuning) must
-// still match.
+// Each case runs inline on the test's thread, then all 37 run as one
+// gp::BatchRunner batch at 1, 2 and 8 threads. Every result line must
+// equal its fixture line byte for byte, cache hits and misses included:
+// a search owns its thread's fitness cache, so neither the thread it
+// lands on nor the searches beside it can move its cache traffic.
 //
 // On a mismatch the fresh results land in <build>/tests/gp_golden/; copy
 // that file over the fixture only when a change is meant to move results.
@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "gp/batch.hpp"
 #include "gp/engine.hpp"
 
 #ifndef DPR_GP_FIXTURE_DIR
@@ -206,57 +207,42 @@ std::map<std::string, std::string> load_fixture() {
   return lines;
 }
 
-/// Splits a fixture line into its tab-separated fields.
-std::vector<std::string> fields(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream in(line);
-  std::string field;
-  while (std::getline(in, field, '\t')) out.push_back(field);
-  return out;
-}
-
-TEST(GpGolden, EveryCaseMatchesItsFixtureAtOneTwoAndEightThreads) {
+TEST(GpGolden, EveryCaseMatchesItsFixtureInlineAndInBatches) {
   const auto fixture = load_fixture();
   const auto all = cases();
   ASSERT_EQ(all.size(), 37u);  // 27 synthetic + 10 fleet-dataset cases
+  std::vector<BatchJob> jobs;
+  for (const auto& c : all) jobs.push_back({&c.dataset, c.config});
+
   std::ostringstream fresh;
   fresh << "# name\tformula\tfitness bits\tgenerations\tevaluations\t"
-           "cache hits\tcache misses (GP n_threads = 1)\n";
+           "cache hits\tcache misses\n";
   bool any_mismatch = false;
-  for (const auto& c : all) {
-    GpConfig config = c.config;
-    config.n_threads = 1;
-    const std::string got = result_line(c.name, infer_formula(c.dataset,
-                                                              config));
-    fresh << got << '\n';
-    const auto it = fixture.find(c.name);
+  const auto expect_fixture = [&](const std::string& run, std::size_t i,
+                                  const std::optional<GpResult>& result) {
+    const std::string got = result_line(all[i].name, result);
+    const auto it = fixture.find(all[i].name);
     if (it == fixture.end()) {
-      ADD_FAILURE() << "no fixture line for " << c.name;
+      ADD_FAILURE() << "no fixture line for " << all[i].name;
       any_mismatch = true;
-      continue;
-    }
-    if (got != it->second) {
-      any_mismatch = true;
-      ADD_FAILURE() << "1 thread:\n  got  " << got << "\n  want "
+    } else if (got != it->second) {
+      ADD_FAILURE() << run << ":\n  got  " << got << "\n  want "
                     << it->second;
+      any_mismatch = true;
     }
-    const auto want = fields(it->second);
-    if (want.size() != 7) continue;
-    for (const std::size_t threads : {2u, 8u}) {
-      config.n_threads = threads;
-      const auto f = fields(result_line(c.name, infer_formula(c.dataset,
-                                                              config)));
-      ASSERT_EQ(f.size(), 7u) << c.name;
-      const auto num = [](const std::string& s) { return std::stoull(s); };
-      const std::string where = c.name + ", " + std::to_string(threads) +
-                                " threads";
-      EXPECT_EQ(f[1], want[1]) << where;  // formula
-      EXPECT_EQ(f[2], want[2]) << where;  // fitness bits
-      EXPECT_EQ(f[3], want[3]) << where;  // generations
-      EXPECT_EQ(num(f[5]) + num(f[6]), num(want[5]) + num(want[6]))
-          << where;  // cache lookups
-      EXPECT_EQ(num(f[4]) - num(f[6]), num(want[4]) - num(want[6]))
-          << where;  // evaluations that were not cache misses
+    return got;
+  };
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    fresh << expect_fixture("inline", i,
+                            infer_formula(all[i].dataset, all[i].config))
+          << '\n';
+  }
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    const auto results = BatchRunner(threads).run(jobs);
+    ASSERT_EQ(results.size(), all.size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      expect_fixture("batch of " + std::to_string(threads) + " threads", i,
+                     results[i]);
     }
   }
   if (any_mismatch) {

@@ -270,28 +270,6 @@ TEST(Infer, DeterministicForFixedSeed) {
   EXPECT_EQ(a->formula, b->formula);
 }
 
-TEST(Infer, IdenticalResultForEveryThreadCount) {
-  // The deterministic-replay contract: breeding is decomposed into fixed
-  // chunks with per-chunk forked RNG streams, so the evolved population —
-  // and therefore the whole GpResult — is bit-identical no matter how
-  // many workers execute it.
-  const auto dataset = make_dataset(
-      2, [](double x0, double x1) { return 0.4 * x0 + 0.1 * x1 + 7.0; }, 5,
-      250);
-  GpConfig serial = fast_config();
-  serial.n_threads = 1;
-  const auto a = infer_formula(dataset, serial);
-  GpConfig parallel = fast_config();
-  parallel.n_threads = 4;
-  const auto b = infer_formula(dataset, parallel);
-  ASSERT_TRUE(a && b);
-  EXPECT_EQ(a->formula, b->formula);
-  EXPECT_EQ(a->fitness, b->fitness);  // bitwise, not approximate
-  EXPECT_EQ(a->generations_run, b->generations_run);
-  EXPECT_EQ(a->converged, b->converged);
-  EXPECT_EQ(a->best.to_string(2), b->best.to_string(2));
-}
-
 TEST(Infer, TimingsAccountForTheRun) {
   const auto dataset = make_dataset(
       1, [](double x, double) { return 3.0 * x + 11.0; }, 0, 255);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -26,38 +25,6 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
-}
-
-TEST(ThreadPool, ParallelChunksDecompositionIsContiguousAndComplete) {
-  ThreadPool pool(3);
-  std::vector<int> covered(101, 0);
-  std::atomic<std::size_t> chunks_seen{0};
-  pool.parallel_chunks(101, 7,
-                       [&](std::size_t, std::size_t begin, std::size_t end) {
-                         chunks_seen.fetch_add(1);
-                         for (std::size_t i = begin; i < end; ++i) {
-                           covered[i] += 1;
-                         }
-                       });
-  EXPECT_EQ(chunks_seen.load(), 7u);
-  EXPECT_EQ(std::accumulate(covered.begin(), covered.end(), 0), 101);
-}
-
-TEST(ThreadPool, ChunkBoundariesIndependentOfWorkerCount) {
-  // The deterministic-replay contract: chunk c covers the same index
-  // range no matter how many workers execute the loop.
-  auto boundaries = [](std::size_t workers) {
-    ThreadPool pool(workers);
-    std::vector<std::pair<std::size_t, std::size_t>> out(5);
-    std::mutex mutex;
-    pool.parallel_chunks(
-        97, 5, [&](std::size_t c, std::size_t begin, std::size_t end) {
-          std::lock_guard<std::mutex> lock(mutex);
-          out[c] = {begin, end};
-        });
-    return out;
-  };
-  EXPECT_EQ(boundaries(1), boundaries(4));
 }
 
 TEST(ThreadPool, ExceptionPropagatesToCaller) {
